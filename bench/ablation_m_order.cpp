@@ -54,7 +54,10 @@ int main(int argc, char** argv) {
       const auto result = run_offline(oracle, paths);
       if (!result.all_delivered) continue;
       slots.add(static_cast<double>(result.slots));
-      probes.add(static_cast<double>(oracle.probes()));
+      // The set-up price is the full probe, not the groups this one
+      // offline plan happened to ask about.
+      probes.add(static_cast<double>(
+          MeasuredOracle::probe_count(oracle.universe_size(), order)));
     }
     if (order == 1) base_slots.push_back(slots.mean());
     table.add_row({static_cast<long long>(order), slots.mean(),

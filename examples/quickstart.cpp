@@ -42,11 +42,17 @@ int main(int argc, char** argv) {
   std::printf("cluster: %zu sensors, max level %zu, max load %lld\n",
               sim.topology().num_sensors(), sim.topology().max_level(),
               static_cast<long long>(sim.relay_plan().max_load()));
-  std::printf("interference probes: %llu groups (order %d)\n",
-              static_cast<unsigned long long>(sim.oracle().probes()),
-              sim.oracle().order());
+  const MeasuredOracle& oracle = sim.oracle();
+  std::printf("interference probe: %zu transmissions, %llu groups to test "
+              "(order %d)\n",
+              oracle.universe_size(),
+              static_cast<unsigned long long>(MeasuredOracle::probe_count(
+                  oracle.universe_size(), oracle.order())),
+              oracle.order());
 
   const SimulationReport rep = sim.run(Time::sec(70), Time::sec(10));
+  std::printf("groups the scheduler actually probed: %llu\n",
+              static_cast<unsigned long long>(oracle.probes()));
 
   std::printf("\n--- 60 s measured ---\n");
   std::printf("offered:    %8.1f B/s\n", rep.offered_bps);

@@ -81,34 +81,16 @@ bool ChannelOracle::compatible_impl(const TxGroup& group) const {
 
 MeasuredOracle::MeasuredOracle(const CompatibilityOracle& truth,
                                std::span<const Tx> universe, int order)
-    : order_(order) {
+    : truth_(truth), order_(order), universe_(normalize(universe)) {
   MHP_REQUIRE(order >= 1, "order must be at least 1");
-  const TxGroup all = normalize(universe);
-  const std::size_t u = all.size();
-  // Enumerate subsets of size 2..order via index combinations.
-  std::vector<std::size_t> idx;
-  auto probe_combinations = [&](auto&& self, std::size_t start,
-                                std::size_t k) -> void {
-    if (idx.size() == k) {
-      TxGroup g;
-      g.reserve(k);
-      for (std::size_t i : idx) g.push_back(all[i]);
-      ++probes_;
-      if (truth.compatible(g)) compatible_.insert(std::move(g));
-      return;
-    }
-    for (std::size_t i = start; i + (k - idx.size()) <= u; ++i) {
-      idx.push_back(i);
-      self(self, i + 1, k);
-      idx.pop_back();
-    }
-  };
-  for (int k = 2; k <= order; ++k)
-    probe_combinations(probe_combinations, 0, static_cast<std::size_t>(k));
 }
 
 bool MeasuredOracle::compatible_impl(const TxGroup& group) const {
-  return compatible_.contains(group);
+  for (const Tx& t : group)
+    if (!std::binary_search(universe_.begin(), universe_.end(), t))
+      return false;  // never tested
+  ++probes_;
+  return truth_.compatible(group);
 }
 
 bool DiscModelOracle::compatible_impl(const TxGroup& group) const {

@@ -128,21 +128,34 @@ class ChannelOracle : public CompatibilityOracle {
   int order_;
 };
 
-/// The head's measured knowledge (§V-E): probe every group of at most M
-/// transmissions drawn from a candidate universe (the transmissions the
-/// relaying paths actually use) and memoize the outcomes.  Query cost is a
-/// lookup; probing cost (number of groups tested) is what sectoring
-/// reduces (§IV).
+/// The head's measured knowledge (§V-E): the outcome of testing groups of
+/// at most M transmissions drawn from a candidate universe (the
+/// transmissions the relaying paths actually use).  Groups with a member
+/// outside the universe were never tested and are incompatible.
+///
+/// Probing is on demand: a query for an in-universe group of size 2..M
+/// probes `truth` when it is asked.  The truth oracle is deterministic, so
+/// every verdict equals that of a full up-front probe, at O(u) memory
+/// instead of O(u^M).  No memo is kept here — wrap the oracle in a
+/// CachedOracle, as both simulation stacks do.  The set-up airtime the
+/// paper charges for a full probe (what sectoring reduces, §IV) is
+/// probe_count().
 class MeasuredOracle : public CompatibilityOracle {
  public:
-  /// Probes all size-2..M subsets of `universe` against `truth`.
+  /// Tests groups drawn from `universe` against `truth`, which must
+  /// outlive this oracle.
   MeasuredOracle(const CompatibilityOracle& truth,
                  std::span<const Tx> universe, int order);
 
   int order() const override { return order_; }
 
-  /// Number of groups probed during construction.
+  /// Number of probes actually performed: queries that reached `truth`
+  /// (structurally valid in-universe groups of size 2..M), repeats
+  /// included.
   std::uint64_t probes() const { return probes_; }
+
+  /// Distinct transmissions in the probe universe.
+  std::size_t universe_size() const { return universe_.size(); }
 
   /// The number of groups a full probe of a universe of `u` transmissions
   /// at order M would need (the paper's 1320-vs-85320 argument).
@@ -152,9 +165,10 @@ class MeasuredOracle : public CompatibilityOracle {
   bool compatible_impl(const TxGroup& group) const override;
 
  private:
+  const CompatibilityOracle& truth_;
   int order_;
-  std::uint64_t probes_ = 0;
-  std::set<TxGroup> compatible_;
+  TxGroup universe_;  // normalized: sorted, duplicate-free
+  mutable std::uint64_t probes_ = 0;
 };
 
 /// Protocol-model (disc) ground truth: a group is compatible iff every
@@ -186,7 +200,8 @@ class DiscModelOracle : public CompatibilityOracle {
 /// Memoizing decorator: caches normalized-group → verdict in a hash map so
 /// repeated queries (the greedy scheduler asks about the same slot groups
 /// every planning pass) cost one hash lookup instead of the inner oracle's
-/// set search or SINR evaluation.  Verdicts are identical to the inner
+/// probe or SINR evaluation.  It is the only memo in front of a
+/// MeasuredOracle.  Verdicts are identical to the inner
 /// oracle's by construction — wrapping an oracle never changes behaviour,
 /// only speed.  Not thread-safe; one instance per simulation, like every
 /// other oracle.  The inner oracle must outlive the cache.

@@ -77,14 +77,14 @@ SetupResult run_setup_discovery(const Channel& channel, std::size_t n) {
 ProbeResult run_interference_probing(
     const Channel& channel, const std::vector<std::vector<NodeId>>& paths,
     int order) {
-  ChannelOracle truth(channel, order);
+  auto truth = std::make_unique<ChannelOracle>(channel, order);
   const auto universe = transmissions_of_paths(paths);
-  MeasuredOracle oracle(truth, universe, order);
+  MeasuredOracle oracle(*truth, universe, order);
   SetupCost cost;
-  cost.probe_groups = oracle.probes();
+  cost.probe_groups = MeasuredOracle::probe_count(universe.size(), order);
   // One slot to fire the group, one for the receivers' verdict report.
-  cost.probe_slots = static_cast<std::size_t>(2 * oracle.probes());
-  return ProbeResult{std::move(oracle), cost};
+  cost.probe_slots = static_cast<std::size_t>(2 * cost.probe_groups);
+  return ProbeResult{std::move(truth), std::move(oracle), cost};
 }
 
 }  // namespace mhp

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/interference.hpp"
@@ -55,8 +56,14 @@ struct SetupResult {
 SetupResult run_setup_discovery(const Channel& channel, std::size_t n);
 
 /// Account the probing cost for a set of relaying paths at order M and
-/// build the measured oracle the head ends up with.
+/// build the measured oracle the head ends up with.  The cost is the
+/// full §V-E probe of the paths' transmissions
+/// (MeasuredOracle::probe_count), however many groups the oracle is later
+/// asked about.  `channel` must outlive the result.
 struct ProbeResult {
+  /// Ground truth the oracle probes on demand.  Heap-held so `oracle`'s
+  /// reference stays valid when the result is moved.
+  std::unique_ptr<ChannelOracle> truth;
   MeasuredOracle oracle;
   SetupCost cost;  // only the probe fields are populated
 };

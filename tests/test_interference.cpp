@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/interference.hpp"
 #include "radio/channel.hpp"
 #include "sim/simulator.hpp"
@@ -101,12 +103,13 @@ TEST(ExplicitOracle, StructuralViolationsOverrideTable) {
 class OracleChannelTest : public ::testing::Test {
  protected:
   OracleChannelTest() {
-    // Line: n0 (30,0), n1 (60,0), n2 (90,0); head id 3 at origin.
-    std::vector<Vec2> pos = {{30, 0}, {60, 0}, {90, 0}, {0, 0}};
-    std::vector<double> pw = {RadioParams::kSensorTxPowerW,
-                              RadioParams::kSensorTxPowerW,
-                              RadioParams::kSensorTxPowerW,
-                              RadioParams::kHeadTxPowerW};
+    // Line: n0 (30,0), n1 (60,0), n2 (90,0); head id 3 at origin.  Two
+    // far-off pairs n4/n5 and n6/n7 can transmit alongside the line, so
+    // multi-member groups can be compatible.
+    std::vector<Vec2> pos = {{30, 0},  {60, 0},  {90, 0},  {0, 0},
+                             {400, 0}, {430, 0}, {800, 0}, {830, 0}};
+    std::vector<double> pw(pos.size(), RadioParams::kSensorTxPowerW);
+    pw[3] = RadioParams::kHeadTxPowerW;
     channel_ = std::make_unique<Channel>(sim_, prop_, RadioParams{}, pos, pw);
   }
   Simulator sim_;
@@ -152,11 +155,140 @@ TEST(MeasuredOracle, ProbeCountFormula) {
   EXPECT_EQ(8 * MeasuredOracle::probe_count(10, 3), 1'320u);
 }
 
+// Every size-k subset of `items`, in lexicographic index order.
+std::vector<TxGroup> subsets_of_size(const std::vector<Tx>& items,
+                                     std::size_t k) {
+  std::vector<TxGroup> out;
+  std::vector<std::size_t> idx;
+  auto rec = [&](auto&& self, std::size_t start) -> void {
+    if (idx.size() == k) {
+      TxGroup g;
+      for (std::size_t i : idx) g.push_back(items[i]);
+      out.push_back(std::move(g));
+      return;
+    }
+    for (std::size_t i = start; i + (k - idx.size()) <= items.size(); ++i) {
+      idx.push_back(i);
+      self(self, i + 1);
+      idx.pop_back();
+    }
+  };
+  rec(rec, 0);
+  return out;
+}
+
 TEST_F(OracleChannelTest, ProbesCounterMatchesFormula) {
   ChannelOracle truth(*channel_, 3);
   const std::vector<Tx> universe = {{2, 1}, {1, 0}, {0, 3}, {1, 3}};
   MeasuredOracle measured(truth, universe, 3);
-  EXPECT_EQ(measured.probes(), MeasuredOracle::probe_count(4, 3));
+  EXPECT_EQ(measured.universe_size(), 4u);
+  EXPECT_EQ(measured.probes(), 0u);  // nothing is tested up front
+  // A full probe queries every size-2..M subset once: probe_count() of
+  // them.  The ones the structural screen rejects never reach the truth
+  // oracle, so the counter tallies exactly the rest.
+  std::uint64_t subsets = 0, reached_truth = 0;
+  for (std::size_t k = 2; k <= 3; ++k)
+    for (const TxGroup& g : subsets_of_size(universe, k)) {
+      ++subsets;
+      if (structurally_valid(g)) ++reached_truth;
+      measured.compatible(g);
+    }
+  EXPECT_EQ(subsets, MeasuredOracle::probe_count(4, 3));
+  EXPECT_GT(reached_truth, 0u);
+  EXPECT_EQ(measured.probes(), reached_truth);
+}
+
+// The eager §V-E probe this oracle used to run in its constructor: test
+// every size-2..M subset of the universe up front and table the
+// compatible ones.  Kept as the reference the on-demand oracle must match.
+class EagerReferenceOracle : public CompatibilityOracle {
+ public:
+  EagerReferenceOracle(const CompatibilityOracle& truth,
+                       const std::vector<Tx>& universe, int order)
+      : order_(order) {
+    const TxGroup all = normalize(universe);
+    for (int k = 2; k <= order; ++k)
+      for (TxGroup& g : subsets_of_size(all, static_cast<std::size_t>(k)))
+        if (truth.compatible(g)) compatible_.insert(std::move(g));
+  }
+  int order() const override { return order_; }
+
+ protected:
+  bool compatible_impl(const TxGroup& group) const override {
+    return compatible_.contains(group);
+  }
+
+ private:
+  int order_;
+  std::set<TxGroup> compatible_;
+};
+
+TEST_F(OracleChannelTest, LazyProbingMatchesEagerEnumeration) {
+  const std::vector<Tx> universe = {{2, 1}, {1, 0}, {0, 3},
+                                    {1, 3}, {4, 5}, {6, 7}};
+  const std::vector<Tx> outside = {{2, 3}, {7, 6}};
+  std::vector<Tx> pool = universe;
+  pool.insert(pool.end(), outside.begin(), outside.end());
+  for (int order = 2; order <= 3; ++order) {
+    SCOPED_TRACE(order);
+    ChannelOracle truth(*channel_, order);
+    const MeasuredOracle lazy(truth, universe, order);
+    const EagerReferenceOracle eager(truth, universe, order);
+    std::size_t compatible_groups = 0;
+    // Every group of size 1..M+1 over the universe plus two transmissions
+    // outside it, including the structurally invalid ones.
+    for (std::size_t k = 1; k <= static_cast<std::size_t>(order) + 1; ++k)
+      for (const TxGroup& g : subsets_of_size(pool, k)) {
+        EXPECT_EQ(lazy.compatible(g), eager.compatible(g));
+        if (eager.compatible(g)) ++compatible_groups;
+      }
+    // The comparison is not vacuous: some multi-member groups pass, e.g.
+    // {1→0, 4→5, 6→7} at M = 3.
+    EXPECT_GT(compatible_groups, pool.size());
+    EXPECT_EQ(lazy.compatible(std::vector<Tx>{{1, 0}, {4, 5}, {6, 7}}),
+              order == 3);
+    // Duplicated members name the same set of transmissions.
+    for (const Tx& a : pool)
+      for (const Tx& b : pool) {
+        const std::vector<Tx> dup{a, b, a};
+        EXPECT_EQ(lazy.compatible(dup), eager.compatible(dup));
+      }
+    // Structurally invalid groups: self-loop, duplicate sender,
+    // half-duplex, shared receiver.
+    const std::vector<std::vector<Tx>> invalid = {
+        {{1, 1}}, {{1, 0}, {1, 3}}, {{2, 1}, {1, 0}}, {{1, 3}, {0, 3}}};
+    for (const auto& g : invalid) {
+      EXPECT_FALSE(eager.compatible(g));
+      EXPECT_EQ(lazy.compatible(g), eager.compatible(g));
+    }
+  }
+}
+
+TEST_F(OracleChannelTest, ProbesCountOnlyInUniverseQueriesUpToOrder) {
+  ChannelOracle truth(*channel_, 2);
+  const std::vector<Tx> universe = {{2, 1}, {4, 5}, {6, 7}, {1, 3}};
+  const MeasuredOracle measured(truth, universe, 2);
+  EXPECT_EQ(measured.probes(), 0u);
+
+  const std::vector<Tx> pair{{2, 1}, {4, 5}};
+  EXPECT_TRUE(measured.compatible(pair));
+  EXPECT_EQ(measured.probes(), 1u);
+  // No memo of its own: a repeat probes again.
+  EXPECT_TRUE(measured.compatible(pair));
+  EXPECT_EQ(measured.probes(), 2u);
+
+  // None of these reach the truth oracle.
+  measured.compatible(std::vector<Tx>{{2, 1}});                  // single
+  measured.compatible(std::vector<Tx>{{2, 1}, {0, 3}});          // outside
+  measured.compatible(std::vector<Tx>{{2, 1}, {1, 3}});          // invalid
+  measured.compatible(std::vector<Tx>{{2, 1}, {4, 5}, {6, 7}});  // > M
+  EXPECT_EQ(measured.probes(), 2u);
+
+  // A CachedOracle in front is the memo: one probe per distinct group.
+  CachedOracle cached(measured);
+  cached.compatible(pair);
+  cached.compatible(pair);
+  EXPECT_EQ(measured.probes(), 3u);
 }
 
 TEST(TransmissionsOfPaths, ExtractsHops) {

@@ -108,7 +108,34 @@ TEST(Protocol, SetupExposesPlansAndOracle) {
   EXPECT_TRUE(sim.topology().fully_connected());
   EXPECT_GE(sim.relay_plan().max_load(), 1);
   EXPECT_EQ(sim.oracle().order(), 2);
+  EXPECT_GT(sim.oracle().universe_size(), 0u);
+  // The oracle probes on demand, so groups are tested once the head
+  // starts scheduling.
+  sim.run(Time::sec(3), Time::sec(1));
   EXPECT_GT(sim.oracle().probes(), 0u);
+  EXPECT_LE(sim.oracle().probes(),
+            MeasuredOracle::probe_count(sim.oracle().universe_size(), 2));
+}
+
+TEST(Protocol, ThousandSensorSetupProbesOnDemand) {
+  // Set-up must not exhaust memory at sizes the scenario schema accepts.
+  // A full order-3 probe of this cluster's universe is hundreds of
+  // millions of groups (the probe that once ran eagerly here and was
+  // OOM-killed); on-demand probing tests only what the scheduler asks.
+  // Delivery at this size is an overload question and is not checked.
+  Rng rng(1);
+  const Deployment dep =
+      deploy_connected_uniform_square(1000, 900.0, 60.0, rng);
+  ProtocolConfig cfg;
+  cfg.oracle_order = 3;
+  PollingSimulation sim(dep, cfg, 5.0);
+  EXPECT_EQ(sim.oracle().probes(), 0u);
+  sim.run(Time::sec(3), Time::sec(1));
+  const std::uint64_t full =
+      MeasuredOracle::probe_count(sim.oracle().universe_size(), 3);
+  EXPECT_GT(full, 100'000'000u);
+  EXPECT_GT(sim.oracle().probes(), 0u);
+  EXPECT_LT(sim.oracle().probes(), full / 1000);
 }
 
 TEST(Protocol, LatencyBoundedByCyclePeriod) {
