@@ -10,8 +10,8 @@
 #include "core/greedy_scheduler.hpp"
 #include "core/optimal_scheduler.hpp"
 #include "core/reductions.hpp"
-#include "flow/min_max_load.hpp"
 #include "net/deployment.hpp"
+#include "route/min_max_load.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "exp/bench_json.hpp"

@@ -8,8 +8,8 @@
 #include "core/greedy_scheduler.hpp"
 #include "core/interference.hpp"
 #include "exp/fig_common.hpp"
-#include "flow/min_max_load.hpp"
 #include "radio/channel.hpp"
+#include "route/min_max_load.hpp"
 #include "sim/simulator.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"

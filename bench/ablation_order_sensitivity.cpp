@@ -7,8 +7,8 @@
 
 #include "core/greedy_scheduler.hpp"
 #include "core/interference.hpp"
-#include "flow/min_max_load.hpp"
 #include "net/deployment.hpp"
+#include "route/min_max_load.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"

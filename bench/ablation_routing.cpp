@@ -5,8 +5,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "flow/min_max_load.hpp"
 #include "net/deployment.hpp"
+#include "route/min_max_load.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"

@@ -5,8 +5,8 @@
 #include "core/ack_collection.hpp"
 #include "core/greedy_scheduler.hpp"
 #include "core/sectors.hpp"
-#include "flow/min_max_load.hpp"
 #include "net/deployment.hpp"
+#include "route/min_max_load.hpp"
 #include "util/rng.hpp"
 
 using namespace mhp;

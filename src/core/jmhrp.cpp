@@ -5,7 +5,7 @@
 #include "core/greedy_scheduler.hpp"
 #include "core/optimal_scheduler.hpp"
 #include "core/routing.hpp"
-#include "flow/min_max_load.hpp"
+#include "route/min_max_load.hpp"
 #include "util/assertx.hpp"
 
 namespace mhp {

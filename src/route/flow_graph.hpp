@@ -1,26 +1,27 @@
 // Arena-friendly flow network: structure-of-arrays arc storage with a CSR
-// adjacency index, built once per solve and reused across δ-probes.
+// adjacency index, built once per solve and reused across δ-probes, plus
+// the max-flow solvers that run over it.
 //
-// Same arc model as flow::FlowNetwork — arc 2k and its residual twin 2k+1
-// are xor-paired — but arcs live in flat arrays and per-node adjacency is
-// a contiguous CSR slice instead of vector<vector<int>>, so repeated
+// Arc 2k and its residual twin 2k+1 are xor-paired; arcs live in flat
+// arrays and per-node adjacency is a contiguous CSR slice, so repeated
 // solves (δ-searches, replans, campaign sweeps) stop reallocating.  The
-// CSR index lists arcs per node in insertion order, which keeps BFS/DFS
-// visit order — and therefore the solved flow — identical to the
-// adjacency-list network it replaces.
-//
-// The arc *structure* (endpoints + CSR index) is immutable once
-// build_csr() freezes it and lives behind a shared handle, so a probe
-// clone — adopt() — shares the structure in O(1) and only copies the
-// per-arc capacity/residual state.  That is what lets the parallel
-// δ-probe scheduler hand each ThreadPool worker its own independently
-// mutable FlowGraph over one huge cluster without duplicating the CSR.
+// CSR index lists arcs per node in insertion order, which fixes BFS/DFS
+// visit order — and therefore the solved flow.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
+
+namespace mhp {
+
+/// The paper invokes Ford–Fulkerson for the min-max-load routing problem;
+/// Edmonds–Karp is the BFS Ford–Fulkerson (O(VE²)) and Dinic (O(V²E)) is
+/// much faster in practice.  Edmonds–Karp stays as the reference the
+/// tests cross-check Dinic against.
+enum class MaxFlowAlgo { kEdmondsKarp, kDinic };
+
+}  // namespace mhp
 
 namespace mhp::route {
 
@@ -39,19 +40,11 @@ class FlowGraph {
   /// Freeze the arc set and build the CSR adjacency index.
   void build_csr();
 
-  /// Become a clone of `base` (which must be frozen by build_csr):
-  /// share its immutable arc structure, copy its capacities and current
-  /// flow.  O(arcs) for the capacity state, O(1) for the structure.
-  /// Further set_capacity/push/install_flow calls on the clone never
-  /// affect `base` or sibling clones, so clones are safe to mutate
-  /// concurrently from different threads.
-  void adopt(const FlowGraph& base);
+  int num_nodes() const { return num_nodes_; }
+  int num_arcs() const { return static_cast<int>(to_.size()); }
 
-  int num_nodes() const { return s_->num_nodes; }
-  int num_arcs() const { return static_cast<int>(s_->to.size()); }
-
-  int arc_from(int e) const { return s_->from[static_cast<std::size_t>(e)]; }
-  int arc_to(int e) const { return s_->to[static_cast<std::size_t>(e)]; }
+  int arc_from(int e) const { return from_[static_cast<std::size_t>(e)]; }
+  int arc_to(int e) const { return to_[static_cast<std::size_t>(e)]; }
   Cap capacity(int e) const { return cap_init_[static_cast<std::size_t>(e)]; }
   Cap residual(int e) const { return cap_[static_cast<std::size_t>(e)]; }
   /// Net flow pushed over arc e (0..capacity for forward arcs).
@@ -62,9 +55,9 @@ class FlowGraph {
 
   /// Arc ids (forward and residual) leaving node v, in insertion order.
   std::span<const std::int32_t> arcs_out(int v) const {
-    const auto b = static_cast<std::size_t>(s_->csr_begin[v]);
-    const auto e = static_cast<std::size_t>(s_->csr_begin[v + 1]);
-    return {s_->csr_arcs.data() + b, e - b};
+    const auto b = static_cast<std::size_t>(csr_begin_[v]);
+    const auto e = static_cast<std::size_t>(csr_begin_[v + 1]);
+    return {csr_arcs_.data() + b, e - b};
   }
 
   /// Consume `amount` of residual capacity on arc e, crediting the twin.
@@ -85,26 +78,39 @@ class FlowGraph {
   void save_flow(std::vector<Cap>& fwd) const;
 
  private:
-  /// The frozen arc structure: endpoints and CSR adjacency.  Shared
-  /// between a graph and its adopt() clones; never mutated after
-  /// build_csr(), so concurrent readers need no synchronization.
-  struct Structure {
-    int num_nodes = 0;
-    std::vector<std::int32_t> from;
-    std::vector<std::int32_t> to;
-    std::vector<std::int32_t> csr_arcs;
-    std::vector<std::int32_t> csr_begin;
-    std::vector<std::int32_t> csr_cursor;  // scratch for build_csr
-    bool csr_built = false;
-  };
-
-  /// Structure this graph may still append arcs to: allocated by
-  /// reset(), or recycled if no clone shares it.
-  Structure& mutable_structure();
-
-  std::shared_ptr<Structure> s_ = std::make_shared<Structure>();
+  int num_nodes_ = 0;
+  std::vector<std::int32_t> from_;
+  std::vector<std::int32_t> to_;
+  std::vector<std::int32_t> csr_arcs_;
+  std::vector<std::int32_t> csr_begin_;
+  std::vector<std::int32_t> csr_cursor_;  // scratch for build_csr
+  bool csr_built_ = false;
   std::vector<Cap> cap_;       // residual capacity
   std::vector<Cap> cap_init_;  // original capacity
+};
+
+/// Max-flow scratch + augmentation over a frozen FlowGraph: augments
+/// whatever flow is installed on g to a maximum s→t flow and returns the
+/// value pushed.  Reusing one MaxFlow across solves keeps its scratch
+/// allocated.  Both searches are iterative, so path depth is bounded by
+/// memory, not by the call stack.
+class MaxFlow {
+ public:
+  using Cap = FlowGraph::Cap;
+
+  Cap augment(FlowGraph& g, int s, int t, MaxFlowAlgo algo);
+
+ private:
+  Cap augment_edmonds_karp(FlowGraph& g, int s, int t);
+  Cap augment_dinic(FlowGraph& g, int s, int t);
+  bool dinic_bfs(FlowGraph& g, int s, int t);
+  Cap dinic_dfs(FlowGraph& g, int s, int t);
+
+  std::vector<std::int32_t> level_;  // Dinic levels / EK pred arcs
+  std::vector<std::int32_t> queue_;
+  std::vector<std::uint32_t> iter_;  // Dinic per-node arc cursor
+  std::vector<std::int32_t> path_;   // Dinic DFS stack: nodes s → …
+  std::vector<Cap> limit_;           // bottleneck up to each path_ node
 };
 
 }  // namespace mhp::route

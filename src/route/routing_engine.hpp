@@ -11,49 +11,26 @@
 //     unique, the assignment is not); the path decomposition always comes
 //     from one final from-zero solve at δ*, which is exactly the flow the
 //     cold search decomposed.  That is the determinism contract.
-//   * speculative parallel δ-probes — with policy.probe_workers > 1 the
-//     δ-search dispatches several candidate δ feasibility probes
-//     concurrently on a util::ThreadPool, each on its own FlowGraph
-//     clone (shared frozen structure, private capacities/flow).  Probes
-//     still only answer feasibility, and feasibility at a given δ is a
-//     pure predicate (the max-flow value is unique no matter which base
-//     flow or thread computed it), so δ* — and hence the decomposed
-//     plan — is byte-identical for any worker count.
-//   * per-cell δ floor — given a cell partition hint (set_cell_hint),
-//     large solves first solve the per-cell relaxations (in-cell links
-//     only; any sensor with an out-of-cell neighbor counts as
-//     head-heard) through the solve_clusters batch machinery.  Each
-//     relaxation's optimum is a valid lower bound on δ* (restrict a
-//     global solution's unit paths to their in-cell prefixes and they
-//     solve the relaxation at the same δ), so their max only trims the
-//     search range — it can never change the result.
 //   * warm hints — a surviving RelayPlan can seed the first probe of a
 //     post-fault replan with its still-valid unit paths.  Hints only
 //     pre-load flow for feasibility probes, so they never change results.
-//   * reusable arenas — the CSR graph, BFS/DFS scratch, probe slots and
-//     flow snapshots persist across solves on the same engine.
+//   * reusable arenas — the CSR graph, BFS/DFS scratch and flow snapshots
+//     persist across solves on the same engine.
 //
 // Engines are cheap to construct and NOT thread-safe; for parallel
-// per-cluster routing use solve_clusters(), which gives each worker its
-// own engine and writes results into per-cluster slots (deterministic for
-// any worker count because each solve is a pure function of its job).
-// A single-job solve_clusters call instead hands its whole worker budget
-// to that one engine's probe scheduler — the single-huge-cluster case.
+// per-cluster routing use solve_clusters(), which gives each job its own
+// engine and writes results into per-cluster slots (deterministic for any
+// worker count because each solve is a pure function of its job).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "flow/min_max_load.hpp"
 #include "net/cluster.hpp"
 #include "net/ids.hpp"
 #include "route/flow_graph.hpp"
-
-namespace mhp {
-class ThreadPool;
-}
+#include "route/min_max_load.hpp"
 
 namespace mhp::route {
 
@@ -62,10 +39,6 @@ struct SolvePolicy {
   /// Reuse flow between δ-probes (results are identical either way; cold
   /// mode exists for equivalence tests and perf comparisons).
   bool warm_start = true;
-  /// Concurrent speculative δ-probes per search round (0 = hardware
-  /// concurrency, 1 = the serial search).  Results are byte-identical
-  /// for any value; >1 trades redundant probe work for wall time.
-  std::size_t probe_workers = 1;
 };
 
 enum class SolveKind { kBalancedMaxFlow, kShortestPath };
@@ -73,19 +46,16 @@ enum class SolveKind { kBalancedMaxFlow, kShortestPath };
 /// Counters from the most recent solve_balanced (zeroed for trivially
 /// feasible/infeasible instances and for solve_shortest).
 struct SolveStats {
-  int probes = 0;       // δ feasibility probes run (incl. speculative)
-  int rounds = 0;       // sequential probe waves (== probes when serial)
+  int probes = 0;       // δ feasibility probes run
   int cold_solves = 0;  // from-zero max-flow runs (probes + the final one)
   std::int64_t delta_lower_bound = 0;  // δ floor the search began at
-  std::int64_t cell_floor = 0;  // per-cell relaxation bound (0 = not run)
   std::int64_t delta_star = 0;  // winning δ (== result.max_load)
   std::int64_t hint_units = 0;  // flow pre-seeded from a warm hint
 };
 
 class RoutingEngine {
  public:
-  explicit RoutingEngine(SolvePolicy policy = {});
-  ~RoutingEngine();
+  explicit RoutingEngine(SolvePolicy policy = {}) : policy_(policy) {}
   RoutingEngine(RoutingEngine&&) = delete;
 
   void set_policy(SolvePolicy policy) { policy_ = policy; }
@@ -114,53 +84,10 @@ class RoutingEngine {
     hint_ = hint;
   }
 
-  /// Cell partition hint for the per-cell δ floor: cells[s] is sensor
-  /// s's cell id (any values; route::grid_cells produces a spatial
-  /// one).  Persistent across solves; applied when the hint matches the
-  /// solve's sensor count and the cluster is large enough to pay for the
-  /// batch of cell solves.  Pass {} to clear.  Never changes results —
-  /// the floor is a proven lower bound on δ*, so it only trims probes.
-  void set_cell_hint(std::vector<std::int32_t> cells) {
-    cell_hint_ = std::move(cells);
-  }
-  const std::vector<std::int32_t>& cell_hint() const { return cell_hint_; }
-
   const SolveStats& last_stats() const { return stats_; }
-
-  /// Smallest cluster the per-cell floor runs for (below it, the batch
-  /// of cell solves costs more than the probes it could save).
-  static constexpr std::size_t kCellFloorMinSensors = 512;
 
  private:
   using Cap = FlowGraph::Cap;
-
-  /// Max-flow scratch + augmentation over any FlowGraph: augments
-  /// whatever flow is installed on g to a maximum flow and returns the
-  /// value pushed.  One per probe slot so probes run concurrently.
-  struct MaxFlowWork {
-    std::vector<std::int32_t> level;  // Dinic levels / EK pred arcs
-    std::vector<std::int32_t> queue;
-    std::vector<std::uint32_t> iter;
-
-    Cap augment(FlowGraph& g, MaxFlowAlgo algo);
-
-   private:
-    Cap augment_edmonds_karp(FlowGraph& g);
-    Cap augment_dinic(FlowGraph& g);
-    bool dinic_bfs(FlowGraph& g);
-    Cap dinic_dfs(FlowGraph& g, int v, Cap limit);
-  };
-
-  /// One speculative probe's private state: a FlowGraph clone (shared
-  /// structure, private capacities) plus its own max-flow scratch.
-  struct ProbeSlot {
-    FlowGraph g;
-    MaxFlowWork work;
-    Cap delta = 0;
-    Cap value = 0;
-    bool feasible = false;
-    bool from_zero = false;
-  };
 
   void build_network(const ClusterTopology& topo, const std::vector<Cap>& demand,
                      const std::vector<Cap>& weight);
@@ -172,18 +99,9 @@ class RoutingEngine {
   /// demand bounds.  Never above δ*.
   Cap analytic_floor(const ClusterTopology& topo,
                      const std::vector<Cap>& demand) const;
-  /// Per-cell relaxation floor (see class comment); 0 when skipped.
-  Cap cell_floor_bound(const ClusterTopology& topo,
-                       const std::vector<Cap>& demand);
-
-  /// δ-search back ends.  Both return δ* and leave `final_flow_` /
-  /// `final_delta` set when some from-zero probe already solved δ*.
-  Cap search_serial(std::size_t n, Cap total, Cap lb, Cap& final_delta);
-  Cap search_parallel(std::size_t n, Cap total, Cap lb, std::size_t workers,
-                      Cap& final_delta);
-
-  /// The probe pool, created lazily at the policy's worker count.
-  ThreadPool& pool(std::size_t workers);
+  /// δ-search: returns δ* and leaves `final_flow_` / `final_delta` set
+  /// when some from-zero probe already solved δ*.
+  Cap search(std::size_t n, Cap total, Cap lb, Cap& final_delta);
 
   void decompose(const ClusterTopology& topo, const std::vector<Cap>& demand,
                  MinMaxLoadResult& result);
@@ -193,7 +111,6 @@ class RoutingEngine {
   SolvePolicy policy_;
   SolveStats stats_;
   const std::vector<std::vector<UnitPath>>* hint_ = nullptr;
-  std::vector<std::int32_t> cell_hint_;
 
   FlowGraph g_;
   std::vector<std::int32_t> demand_arc_;    // per sensor (-1 if demand 0)
@@ -210,10 +127,7 @@ class RoutingEngine {
   bool have_base_ = false;
   Cap base_value_ = 0;
 
-  MaxFlowWork work_;                // the serial path's max-flow scratch
-  std::vector<ProbeSlot> slots_;    // parallel probe arenas (persistent)
-  std::unique_ptr<ThreadPool> pool_;
-  std::size_t pool_workers_ = 0;
+  MaxFlow max_flow_;
 
   // Decomposition scratch.
   std::vector<Cap> remaining_;
@@ -231,11 +145,8 @@ struct ClusterRouteJob {
 };
 
 /// Solve every job on `workers` threads (0 = hardware concurrency, 1 =
-/// inline) and return results in job order.  Each worker runs its own
-/// engine, so results are identical for any worker count.  A single job
-/// hands the whole worker budget to that engine's speculative δ-probe
-/// scheduler instead (the single-huge-cluster case) — still
-/// byte-identical for any worker count.
+/// inline) and return results in job order.  Each job runs on its own
+/// engine, so results are identical for any worker count.
 std::vector<MinMaxLoadResult> solve_clusters(
     std::span<const ClusterRouteJob> jobs, std::size_t workers = 1,
     SolvePolicy policy = {});

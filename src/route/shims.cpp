@@ -2,7 +2,7 @@
 // per-thread route::RoutingEngine so existing call sites migrate in place
 // and still benefit from the engine's reusable arenas and warm-start
 // δ-search.  Results are byte-identical to the pre-engine solver.
-#include "flow/min_max_load.hpp"
+#include "route/min_max_load.hpp"
 #include "route/routing_engine.hpp"
 
 namespace mhp {

@@ -4,56 +4,66 @@
 #include <map>
 #include <numeric>
 
-#include "util/assertx.hpp"
-#include "flow/max_flow.hpp"
-#include "flow/min_max_load.hpp"
 #include "net/deployment.hpp"
+#include "route/flow_graph.hpp"
+#include "route/min_max_load.hpp"
+#include "util/assertx.hpp"
 #include "util/rng.hpp"
 
 namespace mhp {
 namespace {
 
-// ---------- FlowNetwork ----------
+using route::FlowGraph;
+using route::MaxFlow;
 
-TEST(FlowNetwork, ArcBookkeeping) {
-  FlowNetwork net;
-  net.add_nodes(3);
-  const int e = net.add_arc(0, 1, 5);
-  EXPECT_EQ(net.arc_from(e), 0);
-  EXPECT_EQ(net.arc_to(e), 1);
-  EXPECT_EQ(net.capacity(e), 5);
-  EXPECT_EQ(net.flow(e), 0);
-  net.push(e, 3);
-  EXPECT_EQ(net.flow(e), 3);
-  EXPECT_EQ(net.residual(e), 2);
-  EXPECT_EQ(net.residual(e ^ 1), 3);  // twin gained
-  net.reset_flow();
-  EXPECT_EQ(net.flow(e), 0);
+// ---------- FlowGraph ----------
+
+TEST(FlowGraph, ArcBookkeeping) {
+  FlowGraph g;
+  g.reset(3);
+  const int e = g.add_arc(0, 1, 5);
+  EXPECT_EQ(g.arc_from(e), 0);
+  EXPECT_EQ(g.arc_to(e), 1);
+  EXPECT_EQ(g.capacity(e), 5);
+  EXPECT_EQ(g.flow(e), 0);
+  g.push(e, 3);
+  EXPECT_EQ(g.flow(e), 3);
+  EXPECT_EQ(g.residual(e), 2);
+  EXPECT_EQ(g.residual(e ^ 1), 3);  // twin gained
+  g.clear_flow();
+  EXPECT_EQ(g.flow(e), 0);
 }
 
-TEST(FlowNetwork, PushBeyondResidualThrows) {
-  FlowNetwork net;
-  net.add_nodes(2);
-  const int e = net.add_arc(0, 1, 1);
-  EXPECT_THROW(net.push(e, 2), ContractViolation);
+TEST(FlowGraph, PushBeyondResidualThrows) {
+  FlowGraph g;
+  g.reset(2);
+  const int e = g.add_arc(0, 1, 1);
+  EXPECT_THROW(g.push(e, 2), ContractViolation);
 }
 
 // ---------- Max flow ----------
 
+/// Freeze `g` and run one from-zero max flow s→t on it.
+FlowGraph::Cap max_flow(FlowGraph& g, int s, int t,
+                        MaxFlowAlgo algo = MaxFlowAlgo::kDinic) {
+  g.build_csr();
+  return MaxFlow().augment(g, s, t, algo);
+}
+
 /// The classic CLRS example network with max flow 23.
-FlowNetwork clrs_network() {
-  FlowNetwork net;
-  net.add_nodes(6);  // s=0, v1..v4=1..4, t=5
-  net.add_arc(0, 1, 16);
-  net.add_arc(0, 2, 13);
-  net.add_arc(1, 3, 12);
-  net.add_arc(2, 1, 4);
-  net.add_arc(2, 4, 14);
-  net.add_arc(3, 2, 9);
-  net.add_arc(3, 5, 20);
-  net.add_arc(4, 3, 7);
-  net.add_arc(4, 5, 4);
-  return net;
+FlowGraph clrs_network() {
+  FlowGraph g;
+  g.reset(6);  // s=0, v1..v4=1..4, t=5
+  g.add_arc(0, 1, 16);
+  g.add_arc(0, 2, 13);
+  g.add_arc(1, 3, 12);
+  g.add_arc(2, 1, 4);
+  g.add_arc(2, 4, 14);
+  g.add_arc(3, 2, 9);
+  g.add_arc(3, 5, 20);
+  g.add_arc(4, 3, 7);
+  g.add_arc(4, 5, 4);
+  return g;
 }
 
 TEST(MaxFlow, ClrsExampleBothAlgorithms) {
@@ -64,33 +74,32 @@ TEST(MaxFlow, ClrsExampleBothAlgorithms) {
 }
 
 TEST(MaxFlow, DisconnectedIsZero) {
-  FlowNetwork net;
-  net.add_nodes(4);
-  net.add_arc(0, 1, 10);
-  net.add_arc(2, 3, 10);
-  EXPECT_EQ(max_flow(net, 0, 3), 0);
+  FlowGraph g;
+  g.reset(4);
+  g.add_arc(0, 1, 10);
+  g.add_arc(2, 3, 10);
+  EXPECT_EQ(max_flow(g, 0, 3), 0);
 }
 
 TEST(MaxFlow, ParallelArcsAdd) {
-  FlowNetwork net;
-  net.add_nodes(2);
-  net.add_arc(0, 1, 3);
-  net.add_arc(0, 1, 4);
-  EXPECT_EQ(max_flow(net, 0, 1), 7);
+  FlowGraph g;
+  g.reset(2);
+  g.add_arc(0, 1, 3);
+  g.add_arc(0, 1, 4);
+  EXPECT_EQ(max_flow(g, 0, 1), 7);
 }
 
-/// Check capacity limits and conservation of the flow left on the network.
-void expect_valid_flow(const FlowNetwork& net, int s, int t,
-                       FlowNetwork::Cap value) {
-  std::vector<FlowNetwork::Cap> balance(
-      static_cast<std::size_t>(net.num_nodes()), 0);
-  for (int e = 0; e < net.num_arcs(); e += 2) {
-    EXPECT_GE(net.flow(e), 0);
-    EXPECT_LE(net.flow(e), net.capacity(e));
-    balance[static_cast<std::size_t>(net.arc_from(e))] -= net.flow(e);
-    balance[static_cast<std::size_t>(net.arc_to(e))] += net.flow(e);
+/// Check capacity limits and conservation of the flow left on the graph.
+void expect_valid_flow(const FlowGraph& g, int s, int t, FlowGraph::Cap value) {
+  std::vector<FlowGraph::Cap> balance(static_cast<std::size_t>(g.num_nodes()),
+                                      0);
+  for (int e = 0; e < g.num_arcs(); e += 2) {
+    EXPECT_GE(g.flow(e), 0);
+    EXPECT_LE(g.flow(e), g.capacity(e));
+    balance[static_cast<std::size_t>(g.arc_from(e))] -= g.flow(e);
+    balance[static_cast<std::size_t>(g.arc_to(e))] += g.flow(e);
   }
-  for (int v = 0; v < net.num_nodes(); ++v) {
+  for (int v = 0; v < g.num_nodes(); ++v) {
     if (v == s)
       EXPECT_EQ(balance[static_cast<std::size_t>(v)], -value);
     else if (v == t)
@@ -105,20 +114,20 @@ class RandomMaxFlow : public ::testing::TestWithParam<int> {};
 TEST_P(RandomMaxFlow, AlgorithmsAgreeAndFlowsAreValid) {
   Rng rng(static_cast<std::uint64_t>(GetParam()));
   const int n = 2 + static_cast<int>(rng.below(10));
-  FlowNetwork a;
-  a.add_nodes(n);
+  FlowGraph a;
+  a.reset(n);
   const int arcs = n + static_cast<int>(rng.below(20));
-  std::vector<std::tuple<int, int, FlowNetwork::Cap>> spec;
+  std::vector<std::tuple<int, int, FlowGraph::Cap>> spec;
   for (int k = 0; k < arcs; ++k) {
     const int u = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
     const int v = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
     if (u == v) continue;
-    const auto c = static_cast<FlowNetwork::Cap>(1 + rng.below(20));
+    const auto c = static_cast<FlowGraph::Cap>(1 + rng.below(20));
     spec.push_back({u, v, c});
     a.add_arc(u, v, c);
   }
-  FlowNetwork b;
-  b.add_nodes(n);
+  FlowGraph b;
+  b.reset(n);
   for (const auto& [u, v, c] : spec) b.add_arc(u, v, c);
 
   const auto fa = max_flow(a, 0, n - 1, MaxFlowAlgo::kEdmondsKarp);

@@ -9,8 +9,8 @@
 #include "core/greedy_scheduler.hpp"
 #include "core/polling_simulation.hpp"
 #include "core/routing.hpp"
-#include "flow/min_max_load.hpp"
 #include "net/deployment.hpp"
+#include "route/min_max_load.hpp"
 #include "sim/event_queue.hpp"
 #include "util/rng.hpp"
 

@@ -1,19 +1,21 @@
 // RoutingEngine determinism contract: warm-start probes, warm hints and
 // parallel per-cluster solves must all produce byte-identical results to
 // the cold single-threaded solver (and hence to the legacy free
-// functions, which are now shims over an engine).
+// functions, which are now shims over an engine).  Also pins that the
+// max-flow search depth is not bounded by the call stack.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/route_repair.hpp"
 #include "core/routing.hpp"
 #include "exp/fig_common.hpp"
-#include "flow/min_max_load.hpp"
 #include "net/deployment.hpp"
+#include "route/min_max_load.hpp"
 #include "route/routing_engine.hpp"
 #include "scenario/run_scenario.hpp"
 #include "scenario/scenario.hpp"
@@ -128,6 +130,32 @@ TEST(RouteEngine, SearchStatsBoundDeltaStar) {
   EXPECT_EQ(stats.delta_star, result.max_load);
 }
 
+// A chain sensor s — s+1 where only sensor 0 reaches the head, with one
+// packet at the far end: every augmenting path is n+1 arcs deep, so a
+// recursive DFS would need one stack frame per hop.
+TEST(RouteEngine, DeepChainDoesNotOverflowStack) {
+  constexpr std::size_t n = 100'000;
+  Graph g(n);
+  for (NodeId s = 0; s + 1 < n; ++s) g.add_edge(s, s + 1);
+  std::vector<bool> hears(n, false);
+  hears[0] = true;
+  const ClusterTopology topo(std::move(g), std::move(hears));
+  std::vector<std::int64_t> demand(n, 0);
+  demand[n - 1] = 1;
+
+  RoutingEngine dinic;
+  const MinMaxLoadResult r = dinic.solve_balanced(topo, demand);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_EQ(r.max_load, 1);
+  ASSERT_EQ(r.paths[n - 1].size(), 1u);
+  // n sensors then the head: n + 1 entries, n hops.
+  EXPECT_EQ(r.paths[n - 1][0].hops.size(), n + 1);
+  EXPECT_EQ(r.paths[n - 1][0].hops.back(), topo.head());
+
+  RoutingEngine ek(SolvePolicy{MaxFlowAlgo::kEdmondsKarp, true});
+  EXPECT_EQ(fingerprint(r), fingerprint(ek.solve_balanced(topo, demand)));
+}
+
 // ---------- warm hints across fault → replan ----------
 
 // Pick a victim that actually carries relayed load so the repair is a
@@ -230,6 +258,44 @@ TEST(RouteEngineParallel, ScenarioReportByteIdenticalAcrossWorkers) {
   scenario::Scenario s =
       scenario::default_scenario(scenario::StackKind::kMultiCluster);
   s.deployment.n_sensors = 12;
+  s.run.duration = Time::sec(10);
+  s.run.warmup = Time::sec(2);
+  s.run.record_perf = false;
+
+  s.route_workers = 1;
+  const std::string serial = scenario::run_scenario(s).dump();
+  s.route_workers = 8;
+  EXPECT_EQ(serial, scenario::run_scenario(s).dump());
+  s.route_workers = 0;  // hardware concurrency
+  EXPECT_EQ(serial, scenario::run_scenario(s).dump());
+}
+
+// ---------- worker count on a single cluster ----------
+
+TEST(RouteParallel, SingleJobSolveClustersHandsWorkersToProbes) {
+  const ClusterTopology topo =
+      disc_topology(exp::eval_deployment(70, 13), exp::kSensorRange);
+  ClusterRouteJob job;
+  job.topo = &topo;
+  job.demand.assign(70, 1);
+  std::vector<ClusterRouteJob> jobs;
+  jobs.push_back(std::move(job));
+
+  const auto serial = route::solve_clusters(jobs, 1);
+  ASSERT_EQ(serial.size(), 1u);
+  for (std::size_t workers : {4u, 8u, 0u}) {
+    const auto par = route::solve_clusters(jobs, workers);
+    ASSERT_EQ(par.size(), 1u);
+    EXPECT_EQ(fingerprint(serial[0]), fingerprint(par[0]))
+        << "workers=" << workers;
+  }
+}
+
+// The polling stack's single cluster must ignore the worker count.
+TEST(RouteParallel, PollingScenarioReportByteIdenticalAcrossRouteWorkers) {
+  scenario::Scenario s =
+      scenario::default_scenario(scenario::StackKind::kPolling);
+  s.deployment.n_sensors = 16;
   s.run.duration = Time::sec(10);
   s.run.warmup = Time::sec(2);
   s.run.record_perf = false;

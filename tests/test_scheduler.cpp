@@ -5,11 +5,11 @@
 #include <numeric>
 
 #include "core/greedy_scheduler.hpp"
-#include "flow/min_max_load.hpp"
 #include "core/optimal_scheduler.hpp"
 #include "core/reductions.hpp"
 #include "core/schedule.hpp"
 #include "net/deployment.hpp"
+#include "route/min_max_load.hpp"
 #include "util/assertx.hpp"
 #include "util/rng.hpp"
 

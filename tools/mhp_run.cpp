@@ -162,7 +162,8 @@ int run_one(const std::string& path, const std::string& out,
             const std::string& profile_out, const std::string& samples_out) {
   scenario::Scenario s = scenario::parse_scenario_text(read_file(path));
   // --workers on a single run overrides the scenario's routing worker
-  // count (reports are byte-identical for any value).
+  // count, which only fans out multi-cluster routing (reports are
+  // byte-identical for any value).
   if (workers.has_value()) s.route_workers = *workers;
 
   scenario::RunScenarioOptions opts;
@@ -371,8 +372,8 @@ int main(int argc, char** argv) {
       .option("--samples-out", "FILE",
               "write sim-time metric samples (JSONL) here")
       .option("--workers", "N",
-              "campaign worker threads, or routing workers for a single "
-              "run (0 = all cores)")
+              "campaign worker threads, or multi-cluster routing workers "
+              "for a single run (0 = all cores)")
       .positional("file", 0, 64);
   flags.parse(argc, argv);
 
