@@ -79,6 +79,26 @@ AckPlan plan_ack_cover(const std::vector<NodeId>& targets,
   return out;
 }
 
+SectorPlan covering_sector(const RelayPlan& plan,
+                           const std::vector<NodeId>& members,
+                           std::uint64_t cycle, NodeId base) {
+  SectorPlan sp;
+  sp.members.reserve(members.size());
+  std::vector<std::vector<NodeId>> candidates;
+  candidates.reserve(members.size());
+  for (NodeId s : members) {
+    auto path = plan.path_for_cycle(s, cycle).hops;
+    for (NodeId& v : path) v += base;
+    sp.members.push_back(base + s);
+    sp.data_path[base + s] = path;
+    candidates.push_back(std::move(path));
+  }
+  AckPlan ack = plan_ack_cover(sp.members, candidates);
+  MHP_ENSURE(ack.covers_all, "ack cover incomplete");
+  sp.ack_paths = std::move(ack.poll_paths);
+  return sp;
+}
+
 AckPlan plan_ack_collection(const ClusterTopology& topo,
                             const RelayPlan& plan, std::uint64_t cycle,
                             const std::vector<NodeId>& sensors) {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/head_agent.hpp"
 #include "core/routing.hpp"
 #include "core/set_cover.hpp"
 #include "net/cluster.hpp"
@@ -38,6 +39,16 @@ AckPlan plan_ack_collection(const ClusterTopology& topo,
 /// subset of `candidates` whose on-path sensors cover every target.
 AckPlan plan_ack_cover(const std::vector<NodeId>& targets,
                        const std::vector<std::vector<NodeId>>& candidates);
+
+/// One sector covering `members` (cluster-local ids): each member's data
+/// path is its cycle-`cycle` path of `plan`, and the ack paths are a
+/// minimum-hop cover of those paths.  Every id in the result is shifted
+/// by `base`, the cluster's first id on its channel (0 for a lone
+/// cluster).  This is the whole-cluster plan of the unsectored protocol,
+/// of path rotation (§V-D) and of a repaired cluster.
+SectorPlan covering_sector(const RelayPlan& plan,
+                           const std::vector<NodeId>& members,
+                           std::uint64_t cycle = 0, NodeId base = 0);
 
 /// The naive baseline (ablation): poll every sensor's own path.
 AckPlan ack_poll_everyone(const ClusterTopology& topo, const RelayPlan& plan,

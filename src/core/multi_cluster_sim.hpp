@@ -12,15 +12,15 @@
 //
 // Substrate (simulator, per-group channels, trace, metrics, RNG) comes
 // from one shared SimRuntime; one channel is added per colour group.
+// Every cluster runs the ClusterField pipeline PollingSimulation uses,
+// always on fixed cycle-0 paths (no sectors, no path rotation).
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "core/head_agent.hpp"
+#include "core/cluster_field.hpp"
 #include "core/polling_simulation.hpp"
 #include "core/protocol_config.hpp"
-#include "core/sensor_agent.hpp"
 #include "net/deployment.hpp"
 #include "sim/runtime.hpp"
 
@@ -56,6 +56,10 @@ struct MultiClusterReport {
 
 class MultiClusterSimulation {
  public:
+  /// Precondition: cfg.faults has no link-degradation windows.  Every
+  /// cluster polls on fixed cycle-0 paths: cfg.use_sectors and
+  /// cfg.rotate_paths are not used (the scenario parser rejects
+  /// use_sectors for this stack).
   MultiClusterSimulation(std::vector<ClusterSpec> clusters,
                          ProtocolConfig cfg, InterClusterMode mode,
                          double rate_bps,
@@ -72,56 +76,13 @@ class MultiClusterSimulation {
   MetricsRegistry& metrics() { return rt_.metrics(); }
 
  private:
-  struct ClusterRt {
-    std::size_t num_sensors = 0;
-    NodeId base = 0;                     // first global id on its channel
-    NodeId head = kNoNode;               // global id on its channel
-    std::unique_ptr<ClusterTopology> topo;
-    std::unique_ptr<RelayPlan> plan;
-    /// Latest repaired plan: warm hint for this cluster's next replan.
-    std::unique_ptr<RelayPlan> repair_plan;
-    std::unique_ptr<ChannelOracle> truth;
-    std::unique_ptr<MeasuredOracle> oracle;
-    std::unique_ptr<CachedOracle> cached;
-    std::unique_ptr<HeadAgent> head_agent;
-    std::vector<std::unique_ptr<SensorAgent>> sensors;
-    // Fault-recovery state (local sensor ids).
-    std::vector<std::int64_t> demand;
-    std::vector<NodeId> declared_dead;
-    std::vector<std::unique_ptr<MeasuredOracle>> retired_oracles;
-    std::vector<std::unique_ptr<CachedOracle>> retired_caches;
-    std::uint64_t last_orphaned = 0;
-  };
-
   void build(std::vector<ClusterSpec> clusters, double rate_bps,
-             double interference_range);
-  /// Cluster c's scheduling oracle: its measured oracle, or a fresh
-  /// CachedOracle wrapper when cfg.cache_oracle is on (hit/miss counters
-  /// aggregate field-wide in the shared runtime registry).
-  const CompatibilityOracle& scheduling_oracle(ClusterRt& rt);
-  SensorAgent& sensor_by_field_id(NodeId field_id);
-  void on_node_death(const NodeDeath& death);
-  void replan_cluster(std::size_t c, NodeId declared);
-  std::uint64_t sum_generated() const;
-  std::uint64_t sum_delivered() const;
+             double interference_range, std::size_t route_workers);
 
-  ProtocolConfig cfg_;
-  ProtocolConfig head_cfg_;  // cfg_ plus the token drain window; the
-                             // head agents keep a reference to it
   InterClusterMode mode_;
   SimRuntime rt_;
-  /// Arena-reusing engine for replans (set-up solves fan out through
-  /// route::solve_clusters on `route_workers_` threads instead).
-  route::RoutingEngine engine_;
-  std::size_t route_workers_ = 1;
-  std::vector<ClusterRt> clusters_;
+  ClusterField field_;
   int channels_used_ = 1;
-  double rate_bps_ = 0.0;
-
-  // Field-wide degradation snapshots (untouched when faults are off).
-  bool have_first_death_ = false;
-  std::uint64_t death_gen_ = 0, death_del_ = 0;    // at first death
-  std::uint64_t repair_gen_ = 0, repair_del_ = 0;  // at last repair
 };
 
 }  // namespace mhp

@@ -8,24 +8,17 @@
 // executes duty cycles on the discrete-event simulator.
 //
 // All substrate (Simulator, Channel, Trace, metrics, RNG) is owned by a
-// SimRuntime; this class only assembles the protocol agents on top.
+// SimRuntime; the cluster itself is a one-cluster ClusterField, the
+// pipeline MultiClusterSimulation runs once per cluster.
 #pragma once
 
 #include <limits>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "core/head_agent.hpp"
+#include "core/cluster_field.hpp"
 #include "fault/fault_plan.hpp"
-#include "core/interference.hpp"
-#include "core/protocol_config.hpp"
-#include "core/routing.hpp"
-#include "core/sectors.hpp"
-#include "core/sensor_agent.hpp"
-#include "net/cluster.hpp"
 #include "net/deployment.hpp"
-#include "route/routing_engine.hpp"
 #include "sim/runtime.hpp"
 
 namespace mhp {
@@ -80,83 +73,33 @@ class PollingSimulation {
   SimulationReport run(Time duration, Time warmup = Time::sec(10));
 
   // --- introspection (valid after construction) ---
-  const ClusterTopology& topology() const { return *topo_; }
-  const RelayPlan& relay_plan() const { return *plan_; }
+  const ClusterTopology& topology() const { return *cluster().topo; }
+  const RelayPlan& relay_plan() const { return *cluster().plan; }
   const std::optional<SectorPartition>& sector_partition() const {
-    return partition_;
+    return cluster().partition;
   }
-  const MeasuredOracle& oracle() const { return *oracle_; }
+  const MeasuredOracle& oracle() const { return *cluster().oracle; }
   /// The memoizing wrapper the head schedules through; nullptr when
   /// cfg.cache_oracle is off.
-  const CachedOracle* oracle_cache() const { return cached_oracle_.get(); }
+  const CachedOracle* oracle_cache() const { return cluster().cached.get(); }
   SimRuntime& runtime() { return rt_; }
   Simulator& simulator() { return rt_.sim(); }
   /// Protocol trace (enable categories before run() to collect entries).
   Trace& trace() { return rt_.trace(); }
   MetricsRegistry& metrics() { return rt_.metrics(); }
-  const HeadAgent& head() const { return *head_; }
-  const SensorAgent& sensor(NodeId s) const { return *sensors_.at(s); }
-  std::size_t num_sensors() const { return sensors_.size(); }
+  const HeadAgent& head() const { return *cluster().head; }
+  const SensorAgent& sensor(NodeId s) const {
+    return *cluster().sensors.at(s);
+  }
+  std::size_t num_sensors() const { return cluster().sensors.size(); }
 
  private:
-  void setup(const Deployment& deployment);
-  /// The oracle the head schedules through: `oracle_` itself, or a fresh
-  /// CachedOracle wrapper over it when cfg.cache_oracle is on (counters
-  /// bound to the runtime registry).  Call again after replacing oracle_.
-  const CompatibilityOracle& scheduling_oracle();
-  /// Fault-injector death handler: kill the agent, snapshot pre-fault
-  /// delivery on the first death.
-  void on_node_death(const NodeDeath& death);
-  /// HeadAgent replan handler: re-route around every node the head has
-  /// declared dead so far and hand the repaired plans/oracle back.
-  void replan_after_death(NodeId declared);
-  std::uint64_t sum_generated() const;
+  void setup(const Deployment& deployment, std::vector<double> rates,
+             std::size_t route_workers);
+  const Cluster& cluster() const { return field_.cluster(0); }
 
-  /// Rebuilds the single-sector plan each cycle so multi-path sensors
-  /// rotate per §V-D; caches the most recent cycle.
-  class RotatingProvider : public CyclePlanProvider {
-   public:
-    RotatingProvider(const ClusterTopology& topo, const RelayPlan& plan);
-    const std::vector<SectorPlan>& plans(std::uint64_t cycle) override;
-
-   private:
-    const ClusterTopology& topo_;
-    const RelayPlan& plan_;
-    std::uint64_t cached_cycle_ = UINT64_MAX;
-    std::vector<SectorPlan> cached_;
-  };
-
-  ProtocolConfig cfg_;
-  std::vector<double> rates_;
   SimRuntime rt_;
-  /// Owns the flow arenas for set-up routing and every replan; replans
-  /// warm-start from the previous plan's surviving flow.
-  route::RoutingEngine engine_;
-  std::unique_ptr<ClusterTopology> topo_;
-  std::unique_ptr<RelayPlan> plan_;
-  /// Latest repaired plan (kept as the warm hint for the next replan;
-  /// `plan_` itself stays put because RotatingProvider references it).
-  std::unique_ptr<RelayPlan> repair_plan_;
-  std::optional<SectorPartition> partition_;
-  std::unique_ptr<ChannelOracle> truth_;
-  std::unique_ptr<MeasuredOracle> oracle_;
-  std::unique_ptr<CachedOracle> cached_oracle_;
-  std::unique_ptr<RotatingProvider> provider_;
-  std::unique_ptr<HeadAgent> head_;
-  std::vector<std::unique_ptr<SensorAgent>> sensors_;
-
-  // Fault-recovery state (untouched when faults are off).
-  std::vector<std::int64_t> demand_;      // set-up routing demand
-  std::vector<NodeId> declared_dead_;     // head's cumulative declarations
-  /// Oracles replaced by repairs; kept alive because the head's current
-  /// phase may still hold a reference to the previous one.  Cache wrappers
-  /// retire alongside the oracles they decorate.
-  std::vector<std::unique_ptr<MeasuredOracle>> retired_oracles_;
-  std::vector<std::unique_ptr<CachedOracle>> retired_caches_;
-  std::uint64_t last_orphaned_ = 0;
-  bool have_first_death_ = false;
-  std::uint64_t death_gen_ = 0, death_del_ = 0;    // at first death
-  std::uint64_t repair_gen_ = 0, repair_del_ = 0;  // at last repair
+  ClusterField field_;
 };
 
 }  // namespace mhp

@@ -14,7 +14,7 @@ RouteRepair repair_routes(const ClusterTopology& topo,
                           std::vector<std::int64_t> demand,
                           RoutingPolicy routing,
                           route::RoutingEngine* engine,
-                          const RelayPlan* previous) {
+                          const RelayPlan* previous, NodeId base) {
   MHP_SPAN("fault/repair_routes");
   const std::size_t n = topo.num_sensors();
   MHP_REQUIRE(demand.size() == n, "demand size mismatch");
@@ -62,24 +62,13 @@ RouteRepair repair_routes(const ClusterTopology& topo,
                      : eng.solve_balanced(survived, demand));
 
   // One covering sector over the survivors, fixed cycle-0 paths.
-  SectorPlan sp;
-  std::vector<std::vector<NodeId>> candidates;
-  for (NodeId s = 0; s < n; ++s) {
-    if (demand[s] <= 0) continue;
-    sp.members.push_back(s);
-    auto path = plan.path_for_cycle(s, 0).hops;
-    sp.data_path[s] = path;
-    candidates.push_back(std::move(path));
-  }
-  const AckPlan ack = plan_ack_cover(sp.members, candidates);
-  MHP_ENSURE(ack.covers_all, "ack cover incomplete after repair");
-  sp.ack_paths = ack.poll_paths;
-
-  RouteRepair out{std::move(survived), std::move(plan), {}, std::move(orphaned),
-                  std::move(candidates)};
-  for (const auto& p : sp.ack_paths) out.probe_paths.push_back(p);
-  out.sectors.push_back(std::move(sp));
-  return out;
+  std::vector<NodeId> members;
+  for (NodeId s = 0; s < n; ++s)
+    if (demand[s] > 0) members.push_back(s);
+  std::vector<SectorPlan> sectors;
+  sectors.push_back(covering_sector(plan, members, 0, base));
+  return RouteRepair{std::move(survived), std::move(plan), std::move(sectors),
+                     std::move(orphaned)};
 }
 
 }  // namespace mhp

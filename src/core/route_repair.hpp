@@ -23,15 +23,14 @@ class RoutingEngine;
 namespace mhp {
 
 /// Everything a repair produces.  The caller re-probes interference over
-/// `probe_paths` (the transmissions the new plan uses) and hands
-/// `sectors` plus the new oracle to the head.
+/// the transmissions `sectors` uses and hands `sectors` plus the new
+/// oracle to the head.
 struct RouteRepair {
   ClusterTopology topo;  // surviving topology (dead nodes isolated)
   RelayPlan plan;
   std::vector<SectorPlan> sectors;  // exactly one covering sector
   /// Alive sensors left without any relay path to the head.
   std::vector<NodeId> orphaned;
-  std::vector<std::vector<NodeId>> probe_paths;
 };
 
 /// Re-route `topo` minus `dead`.  `demand[s]` is the per-cycle packet
@@ -42,11 +41,15 @@ struct RouteRepair {
 /// repairs reuse its arenas; `previous` (optional) is the plan being
 /// repaired, whose surviving paths warm-start the balanced re-solve.
 /// Both are pure accelerators: results are identical without them.
+///
+/// `dead`, `demand`, `plan` and `orphaned` use the topology's own ids;
+/// `sectors` is shifted by `base`, the cluster's first id on its channel.
 RouteRepair repair_routes(const ClusterTopology& topo,
                           const std::vector<NodeId>& dead,
                           std::vector<std::int64_t> demand,
                           RoutingPolicy routing,
                           route::RoutingEngine* engine = nullptr,
-                          const RelayPlan* previous = nullptr);
+                          const RelayPlan* previous = nullptr,
+                          NodeId base = 0);
 
 }  // namespace mhp

@@ -364,6 +364,10 @@ void parse_faults(const obs::Json& node, const std::string& path,
       fail(path + ".degrade_links",
            "not supported by the smac stack (AODV re-discovery is its only "
            "recovery; see SmacConfig::faults)");
+    if (links->size() > 0 && stack == StackKind::kMultiCluster)
+      fail(path + ".degrade_links",
+           "not supported by the multi_cluster stack (link windows are "
+           "single-cluster only)");
     for (std::size_t i = 0; i < links->size(); ++i) {
       const std::string at = path + ".degrade_links[" + std::to_string(i) + "]";
       ObjectReader l(links->at(i), at);
@@ -437,6 +441,10 @@ Scenario parse_scenario(const obs::Json& doc) {
   r.finish();
 
   // Cross-section checks that need the deployment and stack together.
+  if (s.stack == StackKind::kMultiCluster && s.protocol.use_sectors)
+    fail("scenario.protocol.use_sectors",
+         "not supported by the multi_cluster stack (every cluster polls on "
+         "fixed cycle-0 paths)");
   if (!s.traffic.rates_bps.empty()) {
     if (s.stack == StackKind::kMultiCluster)
       fail("scenario.traffic.rates_bps",

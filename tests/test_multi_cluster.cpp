@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/multi_cluster_sim.hpp"
+#include "radio/propagation.hpp"
 #include "util/rng.hpp"
 
 namespace mhp {
@@ -90,6 +91,16 @@ TEST(MultiCluster, SingleClusterDegeneratesToPlainProtocol) {
   const auto rep = sim.run(Time::sec(40), Time::sec(10));
   ASSERT_EQ(rep.delivery_ratio.size(), 1u);
   EXPECT_GE(rep.delivery_ratio[0], 0.95);
+}
+
+TEST(MultiCluster, HonoursPropagationModel) {
+  ProtocolConfig cfg;
+  cfg.seed = 8;
+  cfg.propagation = PropagationModel::kFreeSpace;
+  MultiClusterSimulation sim(two_adjacent_clusters(8), cfg,
+                             InterClusterMode::kColored, 30.0);
+  EXPECT_NE(dynamic_cast<const FreeSpace*>(&sim.runtime().propagation()),
+            nullptr);
 }
 
 }  // namespace

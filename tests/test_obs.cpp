@@ -551,27 +551,42 @@ TEST(ContractHooks, RunLifoAndSwallowHookExceptions) {
 TEST(RoutingPolicy, BalancedRoutingLowersWorstRelayLoad) {
   // Same fixed-seed deployment under both policies; the max-flow plan
   // (§III-A) must spread relaying so its worst sensor forwards fewer
-  // packets than under hop-count shortest paths.
+  // packets than under hop-count shortest paths.  Both stacks run the
+  // same cluster pipeline: a lone polling cluster and a 1×1 field.
   Rng rng(1);
   const Deployment dep = deploy_connected_uniform_square(24, 200.0, 60.0,
                                                          rng);
-  auto worst_relayed = [&dep](RoutingPolicy policy) {
-    ProtocolConfig cfg;
-    cfg.routing = policy;
-    PollingSimulation sim(dep, cfg, 40.0);
-    const SimulationReport rep = sim.run(Time::sec(30), Time::sec(10));
-    EXPECT_GT(rep.delivery_ratio, 0.9);
+  const auto worst_of = [](const RunStats& stats) {
+    EXPECT_GT(stats.delivery_ratio, 0.9);
     std::uint64_t worst = 0;
     for (const auto& [id, v] :
-         rep.metrics.labeled_counters(metric::kNodeRelayed))
+         stats.metrics.labeled_counters(metric::kNodeRelayed))
       worst = std::max(worst, v);
     return worst;
   };
-  const std::uint64_t balanced =
-      worst_relayed(RoutingPolicy::kBalancedMaxFlow);
-  const std::uint64_t shortest = worst_relayed(RoutingPolicy::kShortestPath);
-  EXPECT_GT(shortest, 0u);
-  EXPECT_LT(balanced, shortest);
+  const auto polling = [&](RoutingPolicy policy) {
+    ProtocolConfig cfg;
+    cfg.routing = policy;
+    PollingSimulation sim(dep, cfg, 40.0);
+    return worst_of(sim.run(Time::sec(30), Time::sec(10)));
+  };
+  const auto field = [&](RoutingPolicy policy) {
+    ProtocolConfig cfg;
+    cfg.routing = policy;
+    MultiClusterSimulation sim({ClusterSpec{dep, Vec2{0.0, 0.0}}}, cfg,
+                               InterClusterMode::kShared, 40.0);
+    return worst_of(sim.run(Time::sec(30), Time::sec(10)).totals);
+  };
+  const auto expect_balanced_wins = [](auto worst_relayed) {
+    const std::uint64_t balanced =
+        worst_relayed(RoutingPolicy::kBalancedMaxFlow);
+    const std::uint64_t shortest =
+        worst_relayed(RoutingPolicy::kShortestPath);
+    EXPECT_GT(shortest, 0u);
+    EXPECT_LT(balanced, shortest);
+  };
+  expect_balanced_wins(polling);
+  expect_balanced_wins(field);
 }
 
 }  // namespace

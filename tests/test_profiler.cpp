@@ -387,6 +387,31 @@ TEST(ScenarioProfile, SamplesSinkFollowsScenarioPeriod) {
   EXPECT_LE(seen, 4u);
 }
 
+/// The multi-cluster stack runs the same cluster pipeline as the polling
+/// stack, so its set-up records the shared child spans, oracle_probe once
+/// per cluster.
+TEST(ScenarioProfile, MultiClusterSetupProbesEachClusterOracle) {
+  scenario::Scenario s =
+      scenario::default_scenario(scenario::StackKind::kMultiCluster);
+  s.deployment.kind = scenario::DeploymentSpec::Kind::kRings;
+  s.deployment.rings = 2;
+  s.deployment.per_ring = 4;
+  s.clusters.grid_x = 2;
+  s.clusters.grid_y = 2;
+  s.run.duration = Time::sec(15);
+  s.run.warmup = Time::sec(5);
+  s.run.record_perf = false;
+  s.profile = true;
+  const obs::Json doc = scenario::run_scenario(s);
+  const obs::Json& spans = doc.at("profile").at("spans");
+  const obs::Json* probe = spans.find("mc/setup/oracle_probe");
+  ASSERT_NE(probe, nullptr);
+  EXPECT_EQ(probe->at("count").as_uint(), 4u);
+  for (const char* child : {"topology", "routing", "sectors"})
+    EXPECT_NE(spans.find(std::string("mc/setup/") + child), nullptr)
+        << child;
+}
+
 // ---------- oracle cache stats in reports ----------
 
 TEST(OracleReport, PollingReportCarriesCacheBlock) {

@@ -193,7 +193,7 @@ TEST(RouteEngine, ChainedReplansMatchColdAcrossDeathSequence) {
   const RelayPlan plan = RelayPlan::balanced(topo, demand);
 
   // Two successive deaths: the second replan's hint is the first repair's
-  // plan, mirroring PollingSimulation's repair_plan_ chaining.
+  // plan, mirroring the cluster pipeline's repair_plan chaining.
   const NodeId first = loaded_victim(plan);
   RoutingEngine engine;
   engine.set_warm_hint(&plan.all_paths());

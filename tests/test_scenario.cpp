@@ -282,6 +282,16 @@ TEST(ScenarioValidation, FaultPlansAreChecked) {
           "faults": {"degrade_links":
             [{"a": 0, "b": 1, "begin": "1s", "end": "2s", "loss": 1.0}]}})",
       "scenario.faults.degrade_links: not supported by the smac stack");
+  expect_rejected(
+      R"({"stack": "multi_cluster",
+          "faults": {"degrade_links":
+            [{"a": 0, "b": 1, "begin": "1s", "end": "2s", "loss": 1.0}]}})",
+      "scenario.faults.degrade_links: not supported by the multi_cluster "
+      "stack");
+  expect_rejected(
+      R"({"stack": "multi_cluster", "protocol": {"use_sectors": true}})",
+      "scenario.protocol.use_sectors: not supported by the multi_cluster "
+      "stack");
 }
 
 // ---------- JsonParseError line:column (multi-line regression) ----------
