@@ -28,7 +28,6 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -242,48 +241,6 @@ Result run_point(const Point& p) {
   return out;
 }
 
-/// One point's gates from the committed baseline.  Absent fields read -1
-/// (their check is skipped), so older baselines still gate.  Every point
-/// present in both the baseline and the current run is gated: CI's smoke
-/// run checks n=200, a full run additionally checks the n=100000 row.
-struct BaselineGates {
-  double floor_tx_per_sec = -1.0;
-  double budget_topo_ms = -1.0;
-  double budget_routing_ms = -1.0;
-  double budget_polling_ms = -1.0;
-  double budget_kernel_ms = -1.0;
-};
-
-std::map<long long, BaselineGates> baseline_gates(const std::string& path,
-                                                  bool& found) {
-  std::map<long long, BaselineGates> gates;
-  found = false;
-  std::ifstream in(path);
-  if (!in) return gates;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const mhp::obs::Json doc = mhp::obs::parse_json(buf.str());
-  const mhp::obs::Json* points = doc.find("points");
-  if (points == nullptr || !points->is_array()) return gates;
-  for (std::size_t i = 0; i < points->size(); ++i) {
-    const mhp::obs::Json& row = points->at(i);
-    const mhp::obs::Json* n = row.find("sensors");
-    if (n == nullptr) continue;
-    BaselineGates g;
-    const auto read = [&row](const char* key, double& dst) {
-      if (const mhp::obs::Json* v = row.find(key)) dst = v->as_double();
-    };
-    read("floor_tx_per_sec", g.floor_tx_per_sec);
-    read("budget_topo_ms", g.budget_topo_ms);
-    read("budget_routing_ms", g.budget_routing_ms);
-    read("budget_polling_ms", g.budget_polling_ms);
-    read("budget_kernel_ms", g.budget_kernel_ms);
-    if (n->as_int() == 200 && g.floor_tx_per_sec >= 0.0) found = true;
-    gates.emplace(n->as_int(), g);
-  }
-  return gates;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -299,11 +256,13 @@ int main(int argc, char** argv) {
   const std::string profile_path = flags.value("--profile-out");
   // Parse the baseline up front: this run overwrites BENCH_perf.json in
   // the working directory, and CI points --baseline at the committed copy.
-  std::map<long long, BaselineGates> gates;
+  // Every point present in both the baseline and this run is gated: CI's
+  // smoke run checks n=200, a full run additionally checks n=100000.
+  std::map<long long, mhp::exp::PerfGates> gates;
   if (!baseline_path.empty()) {
-    bool found = false;
-    gates = baseline_gates(baseline_path, found);
-    if (!found) {
+    gates = mhp::exp::read_perf_gates(baseline_path);
+    const auto floor = gates.find(200);
+    if (floor == gates.end() || floor->second.floor_tx_per_sec < 0.0) {
       std::fprintf(stderr, "perf_scaling: no n=200 floor in baseline %s\n",
                    baseline_path.c_str());
       return 1;
@@ -421,7 +380,7 @@ int main(int argc, char** argv) {
       const auto it = gates.find(static_cast<long long>(points[i].sensors));
       if (it == gates.end()) continue;
       const long long n = it->first;
-      const BaselineGates& g = it->second;
+      const mhp::exp::PerfGates& g = it->second;
       const Result& r = results[i];
       ++gated;
       if (g.floor_tx_per_sec >= 0.0 && r.tx_per_sec < g.floor_tx_per_sec) {

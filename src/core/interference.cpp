@@ -1,6 +1,8 @@
 #include "core/interference.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
 #include "util/assertx.hpp"
 
@@ -104,12 +106,69 @@ bool DiscModelOracle::compatible_impl(const TxGroup& group) const {
   return true;
 }
 
+namespace {
+
+/// Hash of a normalized group: each member packed into one word and
+/// folded in with a multiply–xorshift round, then a splitmix64 finalizer
+/// so the low bits the table masks with depend on every endpoint.
+std::uint64_t group_hash(std::span<const Tx> g) {
+  std::uint64_t h = g.size();
+  for (const Tx& t : g) {
+    h ^= (static_cast<std::uint64_t>(t.from) << 32) | t.to;
+    h *= 0x9e3779b97f4a7c15ull;
+    h ^= h >> 29;
+  }
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ull;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebull;
+  return h ^ (h >> 31);
+}
+
+}  // namespace
+
+std::size_t CachedOracle::find_slot(std::span<const Tx> g,
+                                    std::uint64_t hash) const {
+  const std::size_t mask = slots_.size() - 1;
+  const auto length = static_cast<std::uint32_t>(g.size());
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& s = slots_[i];
+    if (s.meta == 0) return i;
+    if (s.hash == hash && s.meta >> 1 == length &&
+        std::equal(g.begin(), g.end(), keys_.begin() + s.offset))
+      return i;
+  }
+}
+
+void CachedOracle::insert_at(std::size_t at, std::span<const Tx> g,
+                             std::uint64_t hash, bool verdict) const {
+  MHP_ENSURE(keys_.size() + g.size() <= UINT32_MAX,
+             "oracle memo key arena exceeds 32-bit offsets");
+  slots_[at] = Slot{hash, static_cast<std::uint32_t>(keys_.size()),
+                    static_cast<std::uint32_t>(g.size()) << 1 |
+                        static_cast<std::uint32_t>(verdict)};
+  keys_.insert(keys_.end(), g.begin(), g.end());
+  if (++size_ * 2 > slots_.size()) grow();
+}
+
+void CachedOracle::grow() const {
+  const std::vector<Slot> old =
+      std::exchange(slots_, std::vector<Slot>(slots_.size() * 2));
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.meta == 0) continue;
+    std::size_t i = s.hash & mask;
+    while (slots_[i].meta != 0) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
+}
+
 bool CachedOracle::compatible(std::span<const Tx> txs) const {
   // Mirror the base class's trivial-group handling so cached and uncached
   // answers agree on every input; only non-trivial groups hit the memo.
   // The scheduler asks about a group per hop per candidate per slot, so
   // normalization runs in a reusable scratch buffer: the memo key is
-  // copied out only on a miss.
+  // copied into the arena only on a miss.
   TxGroup& g = norm_scratch_;
   g.assign(txs.begin(), txs.end());
   std::sort(g.begin(), g.end());
@@ -120,44 +179,43 @@ bool CachedOracle::compatible(std::span<const Tx> txs) const {
     // A pair already known incompatible dooms every group containing it
     // (monotone oracles only; see the header).  `g` is sorted/unique, so
     // each {g[i], g[j]} with i<j is itself a normalized group.
-    pair_scratch_.resize(2);
-    for (std::size_t i = 0; i + 1 < g.size(); ++i) {
-      pair_scratch_[0] = g[i];
+    for (std::size_t i = 0; i + 1 < g.size(); ++i)
       for (std::size_t j = i + 1; j < g.size(); ++j) {
-        pair_scratch_[1] = g[j];
-        const auto it = cache_.find(pair_scratch_);
-        if (it != cache_.end() && !it->second) {
+        const Tx pair[2] = {g[i], g[j]};
+        const Slot& s = slots_[find_slot(pair, group_hash(pair))];
+        if (s.meta != 0 && (s.meta & 1) == 0) {
           ++hits_;
           ++screened_;
           if (hit_counter_) hit_counter_->add();
           return false;
         }
       }
-    }
   }
-  if (const auto it = cache_.find(g); it != cache_.end()) {
+  const std::uint64_t hash = group_hash(g);
+  const std::size_t at = find_slot(g, hash);
+  if (slots_[at].meta != 0) {
     ++hits_;
     if (hit_counter_) hit_counter_->add();
-    return it->second;
+    return (slots_[at].meta & 1) != 0;
   }
   ++misses_;
   if (miss_counter_) miss_counter_->add();
   const bool ok = inner_.compatible(g);
-  cache_.emplace(g, ok);
+  insert_at(at, g, hash, ok);
   if (screen_ == PairScreen::kOn && ok && g.size() > 2) {
     // Subset closure (monotone oracles only, like the screen): a
     // compatible group proves every pair inside it compatible, so seed
     // those pairs now — the scheduler's first planning pass asks about
     // pairs before it grows them into triples, and this turns such
-    // queries into hits without an inner-oracle probe.
-    pair_scratch_.resize(2);
-    for (std::size_t i = 0; i + 1 < g.size(); ++i) {
-      pair_scratch_[0] = g[i];
+    // queries into hits without an inner-oracle probe.  A pair already
+    // memoized keeps its verdict.
+    for (std::size_t i = 0; i + 1 < g.size(); ++i)
       for (std::size_t j = i + 1; j < g.size(); ++j) {
-        pair_scratch_[1] = g[j];
-        cache_.try_emplace(pair_scratch_, true);
+        const Tx pair[2] = {g[i], g[j]};
+        const std::uint64_t pair_hash = group_hash(pair);
+        const std::size_t slot = find_slot(pair, pair_hash);
+        if (slots_[slot].meta == 0) insert_at(slot, pair, pair_hash, true);
       }
-    }
   }
   return ok;
 }

@@ -13,7 +13,6 @@
 #include <map>
 #include <set>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "metrics/registry.hpp"
@@ -35,23 +34,6 @@ struct Tx {
 /// Canonical key for a transmission group (sorted, duplicate-free).
 using TxGroup = std::vector<Tx>;
 TxGroup normalize(std::span<const Tx> txs);
-
-/// FNV-1a over the group's endpoint ids — groups are normalized, so equal
-/// sets hash equally.  Key type for the CachedOracle's memo table.
-struct TxGroupHash {
-  std::size_t operator()(const TxGroup& g) const {
-    std::uint64_t h = 14695981039346656037ull;
-    const auto mix = [&h](std::uint64_t v) {
-      h ^= v;
-      h *= 1099511628211ull;
-    };
-    for (const Tx& t : g) {
-      mix(static_cast<std::uint64_t>(t.from));
-      mix(static_cast<std::uint64_t>(t.to));
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
 
 /// Structural feasibility every oracle enforces before its own answer:
 /// distinct senders, no node both sending and receiving (half-duplex),
@@ -197,14 +179,20 @@ class DiscModelOracle : public CompatibilityOracle {
   int order_;
 };
 
-/// Memoizing decorator: caches normalized-group → verdict in a hash map so
-/// repeated queries (the greedy scheduler asks about the same slot groups
-/// every planning pass) cost one hash lookup instead of the inner oracle's
+/// Memoizing decorator: caches normalized-group → verdict so repeated
+/// queries (the greedy scheduler asks about the same slot groups every
+/// planning pass) cost one table probe instead of the inner oracle's
 /// probe or SINR evaluation.  It is the only memo in front of a
 /// MeasuredOracle.  Verdicts are identical to the inner
 /// oracle's by construction — wrapping an oracle never changes behaviour,
 /// only speed.  Not thread-safe; one instance per simulation, like every
 /// other oracle.  The inner oracle must outlive the cache.
+///
+/// The memo is a flat open-addressed table: a power-of-two array of
+/// 16-byte slots, each holding the group's 64-bit hash, an offset into one
+/// contiguous key arena and the group length with the verdict packed in.
+/// Lookups probe linearly; the table doubles at load ½ and re-slots by the
+/// stored hashes, never re-reading a key.
 class CachedOracle : public CompatibilityOracle {
  public:
   /// Opt-in pair screening and subset closure: before consulting the
@@ -224,7 +212,7 @@ class CachedOracle : public CompatibilityOracle {
 
   explicit CachedOracle(const CompatibilityOracle& inner,
                         PairScreen screen = PairScreen::kOff)
-      : inner_(inner), screen_(screen) {}
+      : inner_(inner), screen_(screen), slots_(16) {}
 
   int order() const override { return inner_.order(); }
 
@@ -248,18 +236,33 @@ class CachedOracle : public CompatibilityOracle {
                       : static_cast<double>(hits_) /
                             static_cast<double>(total);
   }
-  std::size_t size() const { return cache_.size(); }
+  std::size_t size() const { return size_; }
 
  protected:
   /// Unreached (compatible() is fully overridden); delegates for safety.
   bool compatible_impl(const TxGroup& group) const override;
 
  private:
+  struct Slot {
+    std::uint64_t hash = 0;
+    std::uint32_t offset = 0;  // first member's index in keys_
+    std::uint32_t meta = 0;    // length << 1 | verdict; 0 = empty
+  };
+
+  /// Index of the slot holding `g` (a normalized group of size >= 2), or
+  /// of the empty slot where it would go.
+  std::size_t find_slot(std::span<const Tx> g, std::uint64_t hash) const;
+  /// Store `g` → `verdict` in the empty slot `at`; grows at load ½.
+  void insert_at(std::size_t at, std::span<const Tx> g, std::uint64_t hash,
+                 bool verdict) const;
+  void grow() const;
+
   const CompatibilityOracle& inner_;
   PairScreen screen_ = PairScreen::kOff;
-  mutable std::unordered_map<TxGroup, bool, TxGroupHash> cache_;
+  mutable std::vector<Slot> slots_;  // power-of-two size
+  mutable std::vector<Tx> keys_;     // every memoized group, back to back
+  mutable std::size_t size_ = 0;
   mutable TxGroup norm_scratch_;
-  mutable TxGroup pair_scratch_;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;
   mutable std::uint64_t screened_ = 0;

@@ -1,9 +1,11 @@
 #include "scenario/campaign.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <utility>
@@ -216,8 +218,26 @@ Json wall_ms_to_json(const std::vector<double>& samples) {
 /// Roll delivery / throughput / energy / lifetime-proxy aggregates up
 /// from every ok result on record (this run and previous ones).
 Json build_campaign_summary(const std::string& campaign_name,
-                            const std::string& out_dir, std::size_t total) {
-  const auto results = read_keyed_jsonl(out_dir + "/results.jsonl");
+                            const std::string& out_dir,
+                            const std::vector<std::string>& point_keys) {
+  auto results = read_keyed_jsonl(out_dir + "/results.jsonl");
+  // Floating-point sums depend on order, and results.jsonl lists points
+  // in completion order, which varies with the worker count.  Roll up in
+  // expansion order instead; a key outside the expansion goes last, by
+  // key.
+  std::map<std::string, std::size_t> rank;
+  for (std::size_t i = 0; i < point_keys.size(); ++i)
+    rank.emplace(point_keys[i], i);
+  const auto rank_of = [&rank](const std::string& key) {
+    const auto it = rank.find(key);
+    return it == rank.end() ? std::numeric_limits<std::size_t>::max()
+                            : it->second;
+  };
+  std::sort(results.begin(), results.end(),
+            [&rank_of](const auto& a, const auto& b) {
+              const std::size_t ra = rank_of(a.first), rb = rank_of(b.first);
+              return ra != rb ? ra < rb : a.first < b.first;
+            });
   const auto manifest = read_keyed_jsonl(out_dir + "/manifest.jsonl");
 
   std::size_t failed = 0;
@@ -275,7 +295,7 @@ Json build_campaign_summary(const std::string& campaign_name,
   Json body = Json::object()
                   .set("campaign", Json(campaign_name))
                   .set("points", Json::object()
-                                     .set("total", Json(total))
+                                     .set("total", Json(point_keys.size()))
                                      .set("ok", Json(results.size()))
                                      .set("failed", Json(failed)))
                   .set("point_wall_ms", wall_ms_to_json(wall_ms))
@@ -413,9 +433,11 @@ CampaignResult run_campaign(const Campaign& campaign,
       ++result.interrupted;
   }
 
+  std::vector<std::string> keys;
+  keys.reserve(points.size());
+  for (const CampaignPoint& point : points) keys.push_back(point.key);
   obs::save_json(out_dir + "/summary.json",
-                 build_campaign_summary(campaign.name, out_dir,
-                                        points.size()));
+                 build_campaign_summary(campaign.name, out_dir, keys));
   return result;
 }
 

@@ -101,9 +101,11 @@ std::vector<std::pair<std::string, obs::Json>> read_keyed_jsonl(
 /// Roll up every ok point recorded in `out_dir`'s results.jsonl /
 /// manifest.jsonl into the standard campaign_summary envelope (delivery/
 /// throughput/energy aggregates plus the point_wall_ms histogram).
-/// `total` is the expansion size the points/total field reports.
+/// `point_keys` lists the expansion's keys in order: the roll-up sums in
+/// that order, whatever order the points finished in, so the summary is
+/// the same at any worker count.  Its size is the points/total field.
 obs::Json build_campaign_summary(const std::string& campaign_name,
                                  const std::string& out_dir,
-                                 std::size_t total);
+                                 const std::vector<std::string>& point_keys);
 
 }  // namespace mhp::scenario

@@ -313,9 +313,11 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
     }
     return false;
   };
+  std::vector<std::string> keys;
   std::vector<scenario::CampaignPoint> runnable;
   std::vector<std::string> skipped;
   for (scenario::CampaignPoint& pt : parsed.points) {
+    keys.push_back(pt.key);
     if (point_done(pt.key))
       skipped.push_back(pt.key);
     else
@@ -343,7 +345,7 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
       bool active;
       {
         const std::lock_guard jlock(other->mu);
-        active = other->done < other->total;
+        active = other->done < other->keys.size();
       }
       if (active && other->dir == dir) {
         conn->send(response_base("submit", "busy")
@@ -366,13 +368,13 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
     pending_ += runnable.size();
     job = std::make_shared<Job>();
     job->id = "j" + std::to_string(next_job_id_++);
+    job->keys = std::move(keys);  // set before other submitters can see it
     jobs_.push_back(job);
     ++stats_.submissions_ok;
     stats_.points_skipped += skipped.size();
   }
   job->name = parsed.name;
   job->dir = dir;
-  job->total = parsed.points.size();
   job->client = conn;
   job->results_out = std::move(results_out);
   job->manifest_out = std::move(manifest_out);
@@ -383,11 +385,11 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
   conn->send(response_base("submit", "ok")
                  .set("job", Json(job->id))
                  .set("dir", Json(dir))
-                 .set("points", Json(job->total))
+                 .set("points", Json(job->keys.size()))
                  .set("skipped", Json(job->skipped)));
   log_line("serve: %s admitted \"%s\" (%zu point(s), %zu already complete) "
            "-> %s",
-           job->id.c_str(), job->name.c_str(), job->total, job->skipped,
+           job->id.c_str(), job->name.c_str(), job->keys.size(), job->skipped,
            dir.c_str());
 
   // Replay completed points from the durable record so a resumed
@@ -500,7 +502,7 @@ void Server::run_point(const std::shared_ptr<Job>& job, std::size_t index) {
       ++job->cancelled;
     }
     ++job->done;
-    job_complete = job->done == job->total;
+    job_complete = job->done == job->keys.size();
     // Send under job->mu: per-job frame order then matches counter
     // order, so the done frame (emitted by whichever worker retires the
     // last point) can never overtake another point's result frame.
@@ -539,11 +541,11 @@ void Server::finish_job(const std::shared_ptr<Job>& job) {
   }
   obs::save_json(job->dir + "/summary.json",
                  scenario::build_campaign_summary(job->name, job->dir,
-                                                  job->total));
+                                                  job->keys));
   job->client->send(Json::object()
                         .set("frame", Json("done"))
                         .set("job", Json(job->id))
-                        .set("total", Json(job->total))
+                        .set("total", Json(job->keys.size()))
                         .set("ok", Json(ok))
                         .set("failed", Json(failed))
                         .set("skipped", Json(skipped))
@@ -572,7 +574,7 @@ Json Server::handle_status() {
                        .set("job", Json(job->id))
                        .set("name", Json(job->name))
                        .set("dir", Json(job->dir))
-                       .set("total", Json(job->total))
+                       .set("total", Json(job->keys.size()))
                        .set("done", Json(job->done))
                        .set("ok", Json(job->ok))
                        .set("failed", Json(job->failed))

@@ -113,7 +113,7 @@ class Server {
     std::string name;  // scenario/campaign name from the document
     std::string dir;   // durable output directory (stable across restarts)
     std::vector<scenario::CampaignPoint> runnable;  // points to execute
-    std::size_t total = 0;  // expansion size incl. skipped points
+    std::vector<std::string> keys;  // every point's key, expansion order
     std::shared_ptr<Connection> client;
     std::mutex mu;  // guards counters + output streams
     std::ofstream results_out, manifest_out;

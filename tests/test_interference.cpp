@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <set>
+#include <unordered_map>
 
+#include "core/greedy_scheduler.hpp"
 #include "core/interference.hpp"
+#include "core/routing.hpp"
+#include "net/deployment.hpp"
 #include "radio/channel.hpp"
+#include "route/routing_engine.hpp"
 #include "sim/simulator.hpp"
 #include "util/assertx.hpp"
 #include "util/rng.hpp"
@@ -485,6 +493,200 @@ TEST(CachedOracle, PairScreenLiftsHitRateOnGreedyStyleWorkload) {
   }
   EXPECT_GT(screened.screened(), 0u);
   EXPECT_GT(screened.hit_rate(), plain.hit_rate());
+}
+
+// ---------- CachedOracle memo equivalence ----------
+
+// The memo CachedOracle kept before its flat table: a node-based hash map
+// from normalized group to verdict, driven with the same find / emplace /
+// try_emplace sequence.  Verdicts and every counter must match it query
+// for query.
+class ReferenceMemo {
+ public:
+  ReferenceMemo(const CompatibilityOracle& inner, bool screen)
+      : inner_(inner), screen_(screen) {}
+
+  bool compatible(std::span<const Tx> txs) {
+    const TxGroup g = normalize(txs);
+    if (g.size() <= 1) return g.empty() || g[0].from != g[0].to;
+    if (static_cast<int>(g.size()) > inner_.order()) return false;
+    if (screen_ && g.size() > 2)
+      for (std::size_t i = 0; i + 1 < g.size(); ++i)
+        for (std::size_t j = i + 1; j < g.size(); ++j) {
+          const auto it = memo_.find(TxGroup{g[i], g[j]});
+          if (it != memo_.end() && !it->second) {
+            ++hits;
+            ++screened;
+            return false;
+          }
+        }
+    if (const auto it = memo_.find(g); it != memo_.end()) {
+      ++hits;
+      return it->second;
+    }
+    ++misses;
+    const bool ok = inner_.compatible(g);
+    memo_.emplace(g, ok);
+    if (screen_ && ok && g.size() > 2)
+      for (std::size_t i = 0; i + 1 < g.size(); ++i)
+        for (std::size_t j = i + 1; j < g.size(); ++j)
+          memo_.try_emplace(TxGroup{g[i], g[j]}, true);
+    return ok;
+  }
+
+  std::size_t size() const { return memo_.size(); }
+  std::uint64_t hits = 0, misses = 0, screened = 0;
+
+ private:
+  struct Hash {
+    std::size_t operator()(const TxGroup& g) const {
+      std::uint64_t h = 14695981039346656037ull;  // FNV-1a
+      for (const Tx& t : g) {
+        h = (h ^ t.from) * 1099511628211ull;
+        h = (h ^ t.to) * 1099511628211ull;
+      }
+      return static_cast<std::size_t>(h);
+    }
+  };
+  const CompatibilityOracle& inner_;
+  bool screen_;
+  std::unordered_map<TxGroup, bool, Hash> memo_;
+};
+
+TEST(CachedOracle, FlatMemoMatchesReferenceMap) {
+  // Randomized query streams over a monotone disc oracle of order 5:
+  // pairs, triples, order-5 and oversized groups, groups listing a member
+  // twice, trivial groups (empty, singleton, self loop), and repeats of
+  // earlier queries so hits, screens and closure-seeded pairs all occur.
+  // Both screen modes, several seeds.  The last stream keeps asking new
+  // groups until the table has doubled at least 15 times from its
+  // initial 16 slots (load ½ → more than 8·2^14 entries), so the
+  // sanitizer build checks arena offsets across every growth.
+  constexpr NodeId kNodes = 600;
+  constexpr std::size_t kGrowthEntries = 8u << 14;
+  struct Stream {
+    std::uint64_t seed;
+    CachedOracle::PairScreen screen;
+    std::size_t queries;
+  };
+  const Stream streams[] = {
+      {1, CachedOracle::PairScreen::kOff, 40'000},
+      {2, CachedOracle::PairScreen::kOn, 40'000},
+      {3, CachedOracle::PairScreen::kOff, 40'000},
+      {4, CachedOracle::PairScreen::kOn, 40'000},
+      {5, CachedOracle::PairScreen::kOn, 0},  // until 15 growths
+  };
+  std::size_t total_queries = 0;
+  std::size_t largest = 0;
+  for (const Stream& stream : streams) {
+    Rng rng(stream.seed);
+    std::vector<Vec2> pos;
+    for (NodeId i = 0; i < kNodes; ++i)
+      pos.push_back({rng.uniform(0.0, 2000.0), rng.uniform(0.0, 2000.0)});
+    const DiscModelOracle truth(pos, 90.0, 5);
+    const bool screen = stream.screen == CachedOracle::PairScreen::kOn;
+    const CachedOracle cached(truth, stream.screen);
+    ReferenceMemo reference(truth, screen);
+
+    // A transmission to a nearby node, so pairs and larger groups mix
+    // compatible and colliding verdicts.
+    const auto random_tx = [&] {
+      const auto from = static_cast<NodeId>(rng.below(kNodes));
+      auto to = static_cast<NodeId>(rng.below(kNodes));
+      for (int tries = 0; tries < 8 && distance(pos[from], pos[to]) > 120.0;
+           ++tries)
+        to = static_cast<NodeId>(rng.below(kNodes));
+      return Tx{from, to};
+    };
+    std::vector<TxGroup> history;
+    const auto next_group = [&]() -> TxGroup {
+      const std::uint64_t kind = rng.below(100);
+      if (kind < 25 && !history.empty()) {  // repeat, reshuffled
+        TxGroup g = history[rng.below(history.size())];
+        std::reverse(g.begin(), g.end());
+        return g;
+      }
+      if (kind < 30) {  // trivial: empty, singleton, self loop
+        switch (rng.below(3)) {
+          case 0: return {};
+          case 1: return {random_tx()};
+          default: {
+            const auto n = static_cast<NodeId>(rng.below(kNodes));
+            return {Tx{n, n}};
+          }
+        }
+      }
+      std::size_t size = 2;
+      if (kind >= 60) size = 3;
+      if (kind >= 80) size = 5;
+      if (kind >= 95) size = 6;  // beyond order(): never memoized
+      // Half the larger groups grow an earlier query, the way the greedy
+      // scheduler grows a slot group, so cached pairs get screened.
+      TxGroup g;
+      if (size > 2 && !history.empty() && rng.below(2) == 0) {
+        const TxGroup& prior = history[rng.below(history.size())];
+        g.assign(prior.begin(), prior.begin() + 2);
+      }
+      while (g.size() < size) g.push_back(random_tx());
+      if (kind % 7 == 0) g.push_back(g[rng.below(g.size())]);  // duplicate
+      history.push_back(g);
+      return g;
+    };
+
+    for (std::size_t q = 0; stream.queries == 0
+                                ? cached.size() <= kGrowthEntries
+                                : q < stream.queries;
+         ++q) {
+      const TxGroup g = next_group();
+      ASSERT_EQ(cached.compatible(g), reference.compatible(g))
+          << "seed " << stream.seed << " query " << q;
+      ASSERT_EQ(cached.hits(), reference.hits) << "query " << q;
+      ASSERT_EQ(cached.misses(), reference.misses) << "query " << q;
+      ASSERT_EQ(cached.screened(), reference.screened) << "query " << q;
+      ASSERT_EQ(cached.size(), reference.size()) << "query " << q;
+      ++total_queries;
+    }
+    if (screen) {
+      EXPECT_GT(cached.screened(), 0u) << "seed " << stream.seed;
+    }
+    EXPECT_GT(cached.hits(), 0u) << "seed " << stream.seed;
+    largest = std::max(largest, cached.size());
+  }
+  EXPECT_GE(total_queries, 200'000u);
+  EXPECT_GT(largest, kGrowthEntries);
+}
+
+// ---------- CachedOracle offline accounting ----------
+
+TEST(CachedOracle, OfflinePlanCountsArePinnedAtTwoThousandSensors) {
+  // The hot-path scaling bench's polling point at n = 2000: one offline
+  // greedy cycle over min-max-load paths, disc interference (M = 3)
+  // behind a pair-screening cache.  The schedule and the memo's
+  // accounting are pinned exactly, so a memo that drops, duplicates or
+  // mis-keys an entry shows up here, not only as a drifted golden.
+  constexpr std::size_t kSensors = 2000;
+  constexpr double kRange = 60.0;
+  Rng rng(0x9e1f + kSensors);
+  const Deployment dep = deploy_connected_uniform_square(
+      kSensors, std::sqrt(1000.0 * kSensors), kRange, rng);
+  const ClusterTopology topo = disc_topology(dep, kRange);
+  const std::vector<std::int64_t> demand(kSensors, 1);
+  const RelayPlan plan(topo,
+                       route::RoutingEngine().solve_balanced(topo, demand));
+  std::vector<std::vector<NodeId>> paths;
+  for (NodeId s = 0; s < kSensors; ++s)
+    paths.push_back(plan.path_for_cycle(s, 0).hops);
+
+  const DiscModelOracle truth(dep.positions, kRange, 3);
+  const CachedOracle cached(truth, CachedOracle::PairScreen::kOn);
+  const OfflineRunResult run = run_offline(cached, paths);
+  ASSERT_TRUE(run.all_delivered);
+  EXPECT_EQ(run.slots, 8714u);
+  EXPECT_EQ(run.transmissions, 26124u);
+  EXPECT_EQ(cached.hits(), 2553u);
+  EXPECT_EQ(cached.misses(), 19798u);
+  EXPECT_EQ(cached.screened(), 64u);
+  EXPECT_EQ(cached.size(), 40021u);
 }
 
 }  // namespace

@@ -473,6 +473,48 @@ TEST(BenchJson, TableAndRecorderSerializeAndParseBack) {
   EXPECT_EQ(p0.at("sensors").as_int(), 10);
   EXPECT_DOUBLE_EQ(p0.at("rate B/s").as_double(), 20.5);
   EXPECT_EQ(v.at("points").at(1).at("note").as_string(), "sat");
+
+  // Host metadata: enough to tell two bench files' machines apart.
+  const Json& host = v.at("host");
+  EXPECT_GE(host.at("cores").as_int(), 0);
+  EXPECT_FALSE(host.at("compiler").as_string().empty());
+  EXPECT_EQ(host.at("build_type").as_string(), MHP_BUILD_TYPE);
+  const std::string commit = host.at("commit").as_string();
+  const std::string hash = commit.substr(0, commit.find('-'));
+  EXPECT_TRUE(commit == "unknown" ||
+              (hash.size() == 40 &&
+               hash.find_first_not_of("0123456789abcdef") ==
+                   std::string::npos &&
+               (commit == hash || commit == hash + "-dirty")))
+      << commit;
+}
+
+TEST(BenchJson, PerfBaselineReaderAcceptsHostBlock) {
+  // perf_scaling --baseline reads the gates of a committed
+  // BENCH_perf.json; a file carrying the host block must still gate.
+  Table table({"sensors", "floor_tx_per_sec", "budget_topo_ms",
+               "budget_routing_ms", "budget_polling_ms",
+               "budget_kernel_ms"});
+  table.add_row({static_cast<long long>(50), 10.0, 1.0, 2.0, 3.0, 4.0});
+  table.add_row({static_cast<long long>(200), 20.0, 5.0, 6.0, 7.0, 8.0});
+  const std::string path = "BENCH_test_perf_gates_tmp.json";
+  ASSERT_TRUE(exp::save_bench_json("perf", table, obs::RunRecorder{}, path));
+  const auto gates = exp::read_perf_gates(path);
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  std::remove(path.c_str());
+
+  ASSERT_NE(parse_json(buf.str()).find("host"), nullptr);
+  ASSERT_EQ(gates.size(), 2u);
+  const exp::PerfGates& g = gates.at(200);
+  EXPECT_DOUBLE_EQ(g.floor_tx_per_sec, 20.0);
+  EXPECT_DOUBLE_EQ(g.budget_topo_ms, 5.0);
+  EXPECT_DOUBLE_EQ(g.budget_routing_ms, 6.0);
+  EXPECT_DOUBLE_EQ(g.budget_polling_ms, 7.0);
+  EXPECT_DOUBLE_EQ(g.budget_kernel_ms, 8.0);
+  EXPECT_DOUBLE_EQ(gates.at(50).budget_kernel_ms, 4.0);
+  EXPECT_TRUE(exp::read_perf_gates("no_such_bench_file.json").empty());
 }
 
 // ---------- Flight recorder ----------

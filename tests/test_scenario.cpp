@@ -635,5 +635,58 @@ TEST(CampaignRun, PointWallMsGatedByRecordPerf) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(CampaignSummary, SumsInExpansionOrderWhateverTheLineOrder) {
+  // A multi-worker run appends results.jsonl lines in completion order.
+  // The summary must not depend on it: 0.1 + 0.2 + 0.3 rounds
+  // differently summed forwards than backwards, and both line orders
+  // must still give byte-identical summaries, summed in expansion order.
+  const std::vector<std::string> keys = {"p=1", "p=2", "p=3"};
+  const double values[] = {0.1, 0.2, 0.3};
+  const auto result_line = [&](std::size_t i) {
+    const obs::Json body = obs::Json::object()
+                               .set("delivery_ratio", obs::Json(values[i]))
+                               .set("throughput_bps", obs::Json(values[i]))
+                               .set("max_sensor_power_w",
+                                    obs::Json(values[i]));
+    return obs::Json::object()
+        .set("key", obs::Json(keys[i]))
+        .set("point_wall_ms", obs::Json(values[i]))
+        .set("report", obs::Json::object()
+                           .set("kind", obs::Json("polling"))
+                           .set("report", body))
+        .dump();
+  };
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("mhp_campaign_order_" + std::to_string(::getpid())))
+          .string();
+  const auto summary_for = [&](const std::vector<std::size_t>& order) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::ofstream results(dir + "/results.jsonl");
+    std::ofstream manifest(dir + "/manifest.jsonl");
+    for (const std::size_t i : order) {
+      results << result_line(i) << '\n';
+      manifest << "{\"key\":\"" << keys[i] << "\",\"status\":\"ok\"}\n";
+    }
+    results.close();
+    manifest.close();
+    return build_campaign_summary("order", dir, keys).dump();
+  };
+  const std::string forward = summary_for({0, 1, 2});
+  const std::string backward = summary_for({2, 1, 0});
+  std::filesystem::remove_all(dir);
+  ASSERT_NE((0.1 + 0.2) + 0.3, (0.3 + 0.2) + 0.1);  // the order matters
+  EXPECT_EQ(forward, backward);
+  const obs::Json summary = obs::parse_json(backward);
+  EXPECT_EQ(summary.at("report")
+                .at("aggregates")
+                .at("delivery_ratio")
+                .at("mean")
+                .as_double(),
+            ((0.1 + 0.2) + 0.3) / 3.0);
+  EXPECT_EQ(summary.at("report").at("points").at("total").as_int(), 3);
+}
+
 }  // namespace
 }  // namespace mhp::scenario
