@@ -22,11 +22,24 @@ Channel::Channel(Simulator& sim, const Propagation& prop, RadioParams params,
   listeners_.assign(n, nullptr);
   field_.assign(n, 0.0);
   rx_matrix_.assign(n * n, 0.0);
-  for (std::size_t a = 0; a < n; ++a)
-    for (std::size_t b = 0; b < n; ++b)
-      if (a != b)
-        rx_matrix_[a * n + b] =
-            prop.rx_power_w(tx_power_[a], positions_[a], positions_[b]);
+  audible_begin_.reserve(n + 1);
+  audible_begin_.push_back(0);
+  for (std::size_t a = 0; a < n; ++a) {
+    // Write every receiver and keep it only if audible, without a branch:
+    // audibility is unpredictable along a row.
+    std::size_t kept = audible_.size();
+    audible_.resize(kept + n);
+    for (std::size_t b = 0; b < n; ++b) {
+      if (a == b) continue;
+      const double p =
+          prop.rx_power_w(tx_power_[a], positions_[a], positions_[b]);
+      rx_matrix_[a * n + b] = p;
+      audible_[kept] = static_cast<NodeId>(b);
+      kept += p >= params_.sensitivity_w ? 1 : 0;
+    }
+    audible_.resize(kept);
+    audible_begin_.push_back(kept);
+  }
 }
 
 void Channel::set_listener(NodeId node, ChannelListener* listener) {
@@ -64,11 +77,14 @@ bool Channel::carrier_sensed(NodeId at) const {
 
 void Channel::refresh_max_other() {
   // After any change to the active set, update every active transmission's
-  // worst-case interference snapshot at every node.
+  // worst-case interference snapshot at each of its audible receivers —
+  // the only nodes whose snapshot finish() reads.
   for (auto& tx : active_) {
-    for (std::size_t r = 0; r < num_nodes(); ++r) {
+    const std::span<const NodeId> heard = audible(tx.from);
+    for (std::size_t i = 0; i < heard.size(); ++i) {
+      const NodeId r = heard[i];
       const double other = field_[r] - tx.power_at[r];
-      tx.max_other[r] = std::max(tx.max_other[r], other);
+      tx.max_other[i] = std::max(tx.max_other[i], other);
     }
   }
 }
@@ -82,29 +98,29 @@ void Channel::transmit(NodeId from, Frame frame) {
   ++frames_tx_;
   const Time start = sim_.now();
   const Time end = start + airtime(frame.size_bytes);
-  if (trace_ != nullptr)
+  if (trace_ != nullptr && trace_->enabled(TraceCat::kChannel))
     trace_->record(start, TraceCat::kChannel, "tx " + frame.describe());
 
+  // The interference field covers every node (carrier sense and SINR read
+  // it anywhere); the sender's own entry in its row is 0.
+  const std::size_t n = num_nodes();
+  const double* power_at = rx_matrix_.data() + from * n;
+  for (std::size_t r = 0; r < n; ++r) field_[r] += power_at[r];
+
+  // Frame-begin notifications to nodes that can hear it.
+  const std::span<const NodeId> heard = audible(from);
+  for (const NodeId r : heard)
+    if (listeners_[r] != nullptr)
+      listeners_[r]->on_frame_begin(frame, from, power_at[r], end);
+
   ActiveTx tx;
-  tx.frame = frame;
+  tx.frame = std::move(frame);
   tx.from = from;
   tx.start = start;
   tx.end = end;
-  tx.power_at.resize(num_nodes());
-  tx.max_other.assign(num_nodes(), 0.0);
-  for (std::size_t r = 0; r < num_nodes(); ++r) {
-    tx.power_at[r] = r == from ? 0.0 : rx_power_w(from, static_cast<NodeId>(r));
-    field_[r] += tx.power_at[r];
-  }
-
-  // Frame-begin notifications to nodes that can hear it.
-  for (std::size_t r = 0; r < num_nodes(); ++r) {
-    if (r == from || listeners_[r] == nullptr) continue;
-    if (tx.power_at[r] >= params_.sensitivity_w)
-      listeners_[r]->on_frame_begin(frame, from, tx.power_at[r], end);
-  }
-
-  const std::uint64_t uid = frame.uid;
+  tx.power_at = power_at;
+  tx.max_other.assign(heard.size(), 0.0);
+  const std::uint64_t uid = tx.frame.uid;
   active_.push_back(std::move(tx));
   refresh_max_other();
 
@@ -118,18 +134,21 @@ void Channel::finish(std::uint64_t uid) {
   MHP_ENSURE(it != active_.end(), "finishing unknown transmission");
   ActiveTx tx = std::move(*it);
   active_.erase(it);
-  for (std::size_t r = 0; r < num_nodes(); ++r) field_[r] -= tx.power_at[r];
-  // Keep the field non-negative under floating-point cancellation.
-  for (auto& f : field_)
-    if (f < 0.0) f = 0.0;
-
   for (std::size_t r = 0; r < num_nodes(); ++r) {
-    if (r == tx.from || listeners_[r] == nullptr) continue;
-    if (tx.power_at[r] < params_.sensitivity_w) continue;
+    field_[r] -= tx.power_at[r];
+    // Keep the field non-negative under floating-point cancellation.
+    if (field_[r] < 0.0) field_[r] = 0.0;
+  }
+
+  const std::span<const NodeId> heard = audible(tx.from);
+  for (std::size_t i = 0; i < heard.size(); ++i) {
+    const NodeId r = heard[i];
+    if (listeners_[r] == nullptr) continue;
     const double sinr =
-        tx.power_at[r] / (params_.noise_w + tx.max_other[r]);
+        tx.power_at[r] / (params_.noise_w + tx.max_other[i]);
     const bool phy_ok = sinr >= params_.sinr_threshold;
-    if (trace_ != nullptr && !phy_ok &&
+    if (!phy_ok && trace_ != nullptr &&
+        trace_->enabled(TraceCat::kChannel) &&
         (tx.frame.dst == kBroadcast || tx.frame.dst == r))
       trace_->record(sim_.now(), TraceCat::kChannel,
                      "sinr fail at " + std::to_string(r) + ": " +

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/ids.hpp"
@@ -106,9 +107,18 @@ class Channel {
     NodeId from;
     Time start;
     Time end;
-    std::vector<double> power_at;   // per node
-    std::vector<double> max_other;  // max concurrent interference per node
+    const double* power_at = nullptr;  // sender's rx_matrix_ row (0 at it)
+    // Max concurrent interference, one entry per audible receiver of
+    // `from`, in the order of its audible list.
+    std::vector<double> max_other;
   };
+
+  /// Receivers of `from` at or above sensitivity (never `from` itself),
+  /// in ascending id order.
+  std::span<const NodeId> audible(NodeId from) const {
+    return {audible_.data() + audible_begin_[from],
+            audible_.data() + audible_begin_[from + 1]};
+  }
 
   void finish(std::uint64_t uid);
   void refresh_max_other();
@@ -117,7 +127,11 @@ class Channel {
   RadioParams params_;
   std::vector<Vec2> positions_;
   std::vector<double> tx_power_;
-  std::vector<double> rx_matrix_;  // (n+?)² cached powers, row-major
+  std::vector<double> rx_matrix_;  // n² cached powers, row-major
+  // Per-sender audible receiver lists in CSR form: sender s hears
+  // audible_[audible_begin_[s] .. audible_begin_[s + 1]).
+  std::vector<std::size_t> audible_begin_;
+  std::vector<NodeId> audible_;
   std::vector<ChannelListener*> listeners_;
   std::vector<ActiveTx> active_;
   std::vector<double> field_;  // sum of active powers per node

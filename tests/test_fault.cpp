@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "baseline/smac_simulation.hpp"
 #include "core/multi_cluster_sim.hpp"
@@ -14,6 +16,7 @@
 #include "net/deployment.hpp"
 #include "obs/report_json.hpp"
 #include "sim/simulator.hpp"
+#include "sim/trace.hpp"
 #include "util/assertx.hpp"
 #include "util/rng.hpp"
 
@@ -111,13 +114,12 @@ TEST(RouteRepair, SurvivingRelayPathsAvoidTheDeadNode) {
 // The bench smoke point: 14 sensors with a load-bearing relay.
 constexpr std::uint64_t kSeed = 8040;
 
-TEST(FaultRecovery, RelayDeathTriggersReplanAndRestoresDelivery) {
-  const Deployment dep = exp::eval_deployment(14, kSeed);
-
-  // Pick the busiest relay from a probe construction (same seed →
-  // the faulted run's set-up produces the same plan).
+// The relay with the most dependents in the fault-free plan (a probe
+// construction with the same seed produces the faulted run's plan), or
+// kNoNode when no sensor relays for another.
+NodeId busiest_relay(const Deployment& dep) {
   PollingSimulation probe(dep, exp::eval_protocol_config(kSeed), 20.0);
-  NodeId victim = 0;
+  NodeId victim = kNoNode;
   std::size_t victim_deps = 0;
   for (NodeId s = 0; s < dep.num_sensors(); ++s) {
     const std::size_t deps = probe.relay_plan().dependents(s, 0).size();
@@ -126,7 +128,13 @@ TEST(FaultRecovery, RelayDeathTriggersReplanAndRestoresDelivery) {
       victim = s;
     }
   }
-  ASSERT_GT(victim_deps, 0u) << "deployment has no load-bearing relay";
+  return victim;
+}
+
+TEST(FaultRecovery, RelayDeathTriggersReplanAndRestoresDelivery) {
+  const Deployment dep = exp::eval_deployment(14, kSeed);
+  const NodeId victim = busiest_relay(dep);
+  ASSERT_NE(victim, kNoNode) << "deployment has no load-bearing relay";
 
   ProtocolConfig cfg = exp::eval_protocol_config(kSeed);
   cfg.faults.kill_at(victim, Time::sec(20));
@@ -193,6 +201,53 @@ TEST(FaultRecovery, LinkDegradationWindowDropsFrames) {
   ASSERT_TRUE(rd.degradation.has_value());
   EXPECT_EQ(rd.degradation->deaths, 0u);
   EXPECT_LT(rd.delivery_ratio, rc.delivery_ratio);
+}
+
+// ---------- protocol trace ----------
+
+// Collects the protocol-category entries a trace hands to its sinks.
+struct ProtocolTextSink : TraceSink {
+  std::vector<std::string> texts;
+  void on_entry(const TraceEntry& entry) override {
+    if (entry.cat == TraceCat::kProtocol) texts.push_back(entry.text);
+  }
+};
+
+TEST(ProtocolTrace, SinkSeesProtocolEntriesOnlyWhenTheCategoryIsOn) {
+  // A relay death drives the head's wake / sleep entries, the injector's
+  // death entry and the head's dead-node declaration (the window-overrun
+  // entry is covered by Protocol.SectorWindowOverrunCountsLosses).
+  const Deployment dep = exp::eval_deployment(14, kSeed);
+  const NodeId victim = busiest_relay(dep);
+  ASSERT_NE(victim, kNoNode);
+  ProtocolConfig cfg = exp::eval_protocol_config(kSeed);
+  cfg.faults.kill_at(victim, Time::sec(20));
+  cfg.recovery.enabled = true;
+  const auto protocol_texts = [&](bool protocol_on) {
+    PollingSimulation sim(dep, cfg, 20.0);
+    ProtocolTextSink sink;
+    sim.trace().add_sink(&sink);
+    sim.trace().enable_all();
+    if (!protocol_on) sim.trace().disable(TraceCat::kProtocol);
+    sim.run(Time::sec(30), Time::sec(5));
+    sim.trace().remove_sink(&sink);
+    return sink.texts;
+  };
+
+  EXPECT_TRUE(protocol_texts(false).empty());
+
+  // 30 cycles of one wake and one sleep each, plus the death and its
+  // detection two cycles later.
+  const std::vector<std::string> texts = protocol_texts(true);
+  ASSERT_EQ(texts.size(), 62u);
+  EXPECT_EQ(texts[0], "cycle 0 sector 0 wake");
+  EXPECT_EQ(texts[1], "cycle 0 sector 0 sleep (drained in 64.120000 ms)");
+  const std::string id = std::to_string(victim);
+  EXPECT_EQ(texts[40], "fault: node " + id + " died (scripted)");
+  EXPECT_EQ(texts[42], "cycle 20 sector 0 sleep (drained in 472.000000 ms)");
+  EXPECT_EQ(texts[45], "head declares node " + id +
+                           " dead (4 failed polls), replanning routes");
+  EXPECT_EQ(texts[61], "cycle 29 sector 0 sleep (drained in 103.720000 ms)");
 }
 
 // ---------- multi-cluster stack ----------
