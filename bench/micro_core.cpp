@@ -2,11 +2,14 @@
 // scheduling, max-flow routing, set cover, sector partitioning.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "core/ack_collection.hpp"
 #include "core/greedy_scheduler.hpp"
 #include "core/sectors.hpp"
 #include "net/deployment.hpp"
 #include "route/min_max_load.hpp"
+#include "route/routing_engine.hpp"
 #include "util/rng.hpp"
 
 using namespace mhp;
@@ -47,16 +50,30 @@ void BM_GreedySchedule(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedySchedule)->Arg(10)->Arg(30)->Arg(60)->Arg(100);
 
+// One balanced solve on a fresh engine per iteration, as solve_clusters
+// runs each cluster, at route_scale's density (1000 m² per sensor, one
+// packet each): n = 40 and 200 show the per-solve fixed cost, 2000 and
+// 20000 the max-flow and decomposition loops.
 void BM_MinMaxLoadRouting(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto topo = Scenario::make(n, 2);
-  const std::vector<std::int64_t> demand(n, 2);
+  Rng rng(3);
+  const auto topo = disc_topology(
+      deploy_connected_uniform_square(
+          n, std::sqrt(1000.0 * static_cast<double>(n)), 60.0, rng),
+      60.0);
+  const std::vector<std::int64_t> demand(n, 1);
   for (auto _ : state) {
-    const auto result = solve_min_max_load(topo, demand);
+    route::RoutingEngine engine;
+    const auto result = engine.solve_balanced(topo, demand);
     benchmark::DoNotOptimize(result.max_load);
   }
 }
-BENCHMARK(BM_MinMaxLoadRouting)->Arg(10)->Arg(30)->Arg(60)->Arg(100);
+BENCHMARK(BM_MinMaxLoadRouting)
+    ->Arg(40)
+    ->Arg(200)
+    ->Arg(2000)
+    ->Arg(20000)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_MaxFlowAlgos(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

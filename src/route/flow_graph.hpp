@@ -1,12 +1,16 @@
-// Arena-friendly flow network: structure-of-arrays arc storage with a CSR
-// adjacency index, built once per solve and reused across δ-probes, plus
-// the max-flow solvers that run over it.
+// Arena-friendly flow network: structure-of-arrays arc storage in CSR
+// order, built once per solve and reused across δ-probes, plus the
+// max-flow solvers that run over it.
 //
-// Arc 2k and its residual twin 2k+1 are xor-paired; arcs live in flat
-// arrays and per-node adjacency is a contiguous CSR slice, so repeated
-// solves (δ-searches, replans, campaign sweeps) stop reallocating.  The
-// CSR index lists arcs per node in insertion order, which fixes BFS/DFS
-// visit order — and therefore the solved flow.
+// An arc has two names.  Its *id* is the stable handle add_arc returns:
+// arc 2k and its residual twin 2k+1 are xor-paired, in insertion order.
+// Its *position* is where build_csr stores it: node v's arcs occupy the
+// contiguous positions [first_pos(v), end_pos(v)), so the solvers read a
+// node's heads, residuals and twins from one block instead of chasing
+// ids into id-ordered arrays.  Within a node the positions keep ascending
+// id order, which fixes BFS/DFS visit order — and therefore the solved
+// flow — exactly as an id-ordered adjacency list would.  Before
+// build_csr, positions equal ids.
 #pragma once
 
 #include <cstdint>
@@ -31,34 +35,32 @@ class FlowGraph {
   static constexpr Cap kInfinite = INT64_MAX / 4;
 
   /// Drop all arcs and size the node set; capacity stays allocated.
-  void reset(int num_nodes);
+  /// `expected_arcs` (ids, twins included) reserves room for add_arc.
+  void reset(int num_nodes, int expected_arcs = 0);
 
   /// Add a directed arc u→v with capacity `cap`; returns the arc id.
   /// The residual twin is arc id ^ 1.  Only valid before build_csr().
   int add_arc(int u, int v, Cap cap);
 
-  /// Freeze the arc set and build the CSR adjacency index.
+  /// Freeze the arc set and lay the arcs out in CSR order.  Clears flow:
+  /// every residual restarts at its capacity.
   void build_csr();
 
   int num_nodes() const { return num_nodes_; }
-  int num_arcs() const { return static_cast<int>(to_.size()); }
+  int num_arcs() const { return static_cast<int>(head_.size()); }
 
-  int arc_from(int e) const { return from_[static_cast<std::size_t>(e)]; }
-  int arc_to(int e) const { return to_[static_cast<std::size_t>(e)]; }
-  Cap capacity(int e) const { return cap_init_[static_cast<std::size_t>(e)]; }
-  Cap residual(int e) const { return cap_[static_cast<std::size_t>(e)]; }
+  // ---- by arc id ------------------------------------------------------
+
+  int arc_from(int e) const { return head(pos(e ^ 1)); }
+  int arc_to(int e) const { return head(pos(e)); }
+  Cap capacity(int e) const {
+    return cap_[static_cast<std::size_t>(pos(e))];
+  }
+  Cap residual(int e) const {
+    return res_[static_cast<std::size_t>(pos(e))];
+  }
   /// Net flow pushed over arc e (0..capacity for forward arcs).
-  Cap flow(int e) const {
-    return cap_init_[static_cast<std::size_t>(e)] -
-           cap_[static_cast<std::size_t>(e)];
-  }
-
-  /// Arc ids (forward and residual) leaving node v, in insertion order.
-  std::span<const std::int32_t> arcs_out(int v) const {
-    const auto b = static_cast<std::size_t>(csr_begin_[v]);
-    const auto e = static_cast<std::size_t>(csr_begin_[v + 1]);
-    return {csr_arcs_.data() + b, e - b};
-  }
+  Cap flow(int e) const { return flow_at(pos(e)); }
 
   /// Consume `amount` of residual capacity on arc e, crediting the twin.
   void push(int e, Cap amount);
@@ -68,7 +70,7 @@ class FlowGraph {
   void set_capacity(int e, Cap cap);
 
   /// Zero all flow, restoring residuals to the current capacities.
-  void clear_flow() { cap_ = cap_init_; }
+  void clear_flow() { res_ = cap_; }
 
   /// Materialize residuals for the given per-forward-arc flow (fwd[k] is
   /// the flow on arc 2k).  Requires 0 <= fwd[k] <= capacity(2k).
@@ -77,16 +79,44 @@ class FlowGraph {
   /// Snapshot the current per-forward-arc flow into `fwd`.
   void save_flow(std::vector<Cap>& fwd) const;
 
+  // ---- by CSR position (the decomposition's walks) ---------------------
+
+  /// Node v's arcs (forward and residual) sit at [first_pos(v),
+  /// end_pos(v)), in ascending id order.  Valid after build_csr().
+  int first_pos(int v) const {
+    return csr_begin_[static_cast<std::size_t>(v)];
+  }
+  int end_pos(int v) const {
+    return csr_begin_[static_cast<std::size_t>(v) + 1];
+  }
+
+  int head(int p) const { return head_[static_cast<std::size_t>(p)]; }
+  /// Net flow at position p: 0..capacity on a forward arc, -flow of its
+  /// forward arc on a residual twin.
+  Cap flow_at(int p) const {
+    const auto i = static_cast<std::size_t>(p);
+    return cap_[i] - res_[i];
+  }
+
  private:
+  friend class MaxFlow;  // its loops read the position arrays directly
+
+  /// CSR position of arc e (e itself before build_csr).
+  int pos(int e) const {
+    return csr_built_ ? pos_[static_cast<std::size_t>(e)] : e;
+  }
+
+  // Per arc, 28 B in all: four arrays by position, pos_ by id.  There is
+  // no tail array: the tail of arc e is the head of e ^ 1.
   int num_nodes_ = 0;
-  std::vector<std::int32_t> from_;
-  std::vector<std::int32_t> to_;
-  std::vector<std::int32_t> csr_arcs_;
+  std::vector<std::int32_t> head_;   // head node
+  std::vector<std::int32_t> twin_;   // position of the residual twin
+  std::vector<Cap> cap_;             // capacity
+  std::vector<Cap> res_;             // residual capacity
+  std::vector<std::int32_t> pos_;    // arc id → position
   std::vector<std::int32_t> csr_begin_;
   std::vector<std::int32_t> csr_cursor_;  // scratch for build_csr
   bool csr_built_ = false;
-  std::vector<Cap> cap_;       // residual capacity
-  std::vector<Cap> cap_init_;  // original capacity
 };
 
 /// Max-flow scratch + augmentation over a frozen FlowGraph: augments
@@ -103,14 +133,15 @@ class MaxFlow {
  private:
   Cap augment_edmonds_karp(FlowGraph& g, int s, int t);
   Cap augment_dinic(FlowGraph& g, int s, int t);
-  bool dinic_bfs(FlowGraph& g, int s, int t);
-  Cap dinic_dfs(FlowGraph& g, int s, int t);
+  bool dinic_bfs(const FlowGraph& g, int s, int t);
+  Cap dinic_dfs(FlowGraph& g, int t);
 
-  std::vector<std::int32_t> level_;  // Dinic levels / EK pred arcs
+  std::vector<std::int32_t> level_;  // Dinic levels / EK pred positions
   std::vector<std::int32_t> queue_;
-  std::vector<std::uint32_t> iter_;  // Dinic per-node arc cursor
+  std::vector<std::int32_t> iter_;   // Dinic per-node cursor (a position)
   std::vector<std::int32_t> path_;   // Dinic DFS stack: nodes s → …
   std::vector<Cap> limit_;           // bottleneck up to each path_ node
+                                     // (limit_[0] is s's, unbounded)
 };
 
 }  // namespace mhp::route

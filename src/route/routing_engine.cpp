@@ -29,8 +29,13 @@ struct Layout {
 void RoutingEngine::build_network(const ClusterTopology& topo,
                                   const std::vector<Cap>& demand,
                                   const std::vector<Cap>& weight) {
+  MHP_SPAN("route/build");
   const std::size_t n = topo.num_sensors();
-  g_.reset(2 + 2 * static_cast<int>(n));
+  std::size_t pairs = n;  // capacity arcs
+  for (NodeId s = 0; s < n; ++s)
+    pairs += (demand[s] > 0 ? 1 : 0) + (topo.head_hears(s) ? 1 : 0) +
+             topo.sensor_links().degree(s);
+  g_.reset(2 + 2 * static_cast<int>(n), 2 * static_cast<int>(pairs));
   demand_arc_.assign(n, -1);
   capacity_arc_.assign(n, -1);
   sink_arc_.assign(n, -1);
@@ -45,22 +50,33 @@ void RoutingEngine::build_network(const ClusterTopology& topo,
       sink_arc_[s] = static_cast<std::int32_t>(
           g_.add_arc(Layout::output(s), Layout::sink(), FlowGraph::kInfinite));
   }
+  first_link_arc_ = g_.num_arcs();
   for (NodeId a = 0; a < n; ++a)
     for (NodeId b : topo.sensor_links().neighbors(a))
       g_.add_arc(Layout::output(a), Layout::input(b), FlowGraph::kInfinite);
   g_.build_csr();
 }
 
-int RoutingEngine::find_link_arc(NodeId a, NodeId b) const {
-  const int target = Layout::input(b);
-  for (const int e : g_.arcs_out(Layout::output(a)))
-    if ((e % 2) == 0 && g_.arc_to(e) == target) return e;
-  return -1;
-}
-
 FlowGraph::Cap RoutingEngine::prime_from_hint(
+    const ClusterTopology& topo,
     const std::vector<std::vector<UnitPath>>& hint) {
   const std::size_t n = capacity_arc_.size();
+  // Link arcs were added last, sensor by sensor in neighbor order, so a's
+  // link to its k-th neighbor is forward arc link_begin[a] + 2k.
+  std::vector<int> link_begin(n);
+  int next_link = first_link_arc_;
+  for (NodeId a = 0; a < n; ++a) {
+    link_begin[a] = next_link;
+    next_link += 2 * static_cast<int>(topo.sensor_links().degree(a));
+  }
+  const auto find_link_arc = [&](NodeId a, NodeId b) {
+    int e = link_begin[a];
+    for (NodeId nb : topo.sensor_links().neighbors(a)) {
+      if (nb == b) return e;
+      e += 2;
+    }
+    return -1;
+  };
   Cap primed = 0;
   std::vector<int> arcs;
   for (std::size_t s = 0; s < hint.size() && s < n; ++s) {
@@ -103,56 +119,42 @@ FlowGraph::Cap RoutingEngine::prime_from_hint(
 }
 
 bool RoutingEngine::cancel_one_cycle() {
-  const auto n = static_cast<std::size_t>(g_.num_nodes());
-  color_.assign(n, 0);      // 0 white, 1 gray, 2 black
-  entry_arc_.assign(n, -1); // DFS tree arc into each gray node
-
-  // Iterative DFS frame: node + index into its arc list.
-  struct Frame {
-    int v;
-    std::size_t i;
-  };
-
-  auto flows = [&](int e) {
-    return (e % 2) == 0 && remaining_[static_cast<std::size_t>(e)] > 0;
-  };
-
+  // 0 white, 1 gray, 2 black.
+  color_.assign(static_cast<std::size_t>(g_.num_nodes()), 0);
+  // Iterative DFS.  The gray nodes are exactly the stack's nodes, and a
+  // frame's cursor rests on the arc to the next frame's node until that
+  // node finishes, so the stack spells out the tree path to the tip.
   for (int root = 0; root < g_.num_nodes(); ++root) {
     if (color_[static_cast<std::size_t>(root)] != 0) continue;
-    std::vector<Frame> stack{{root, 0}};
+    stack_.assign(1, {root, g_.first_pos(root)});
     color_[static_cast<std::size_t>(root)] = 1;
-    while (!stack.empty()) {
-      auto& [v, i] = stack.back();
-      const auto arcs = g_.arcs_out(v);
-      bool descended = false;
-      for (; i < arcs.size(); ++i) {
-        const int e = arcs[i];
-        if (!flows(e)) continue;
-        const int w = g_.arc_to(e);
+    while (!stack_.empty()) {
+      Frame& f = stack_.back();
+      const int end = g_.end_pos(f.v);
+      for (; f.p < end; ++f.p) {
+        if (remaining_[static_cast<std::size_t>(f.p)] <= 0) continue;
+        const int w = g_.head(f.p);
         if (color_[static_cast<std::size_t>(w)] == 1) {
-          // Back arc: cycle w → … → v → w.
-          std::vector<int> cycle{e};
-          for (int u = v; u != w; u = g_.arc_from(entry_arc_[u]))
-            cycle.push_back(entry_arc_[u]);
+          // Back arc: the cycle is w's frame up to the tip, closed by f.p.
+          std::size_t k = stack_.size() - 1;
+          while (stack_[k].v != w) --k;
           Cap m = FlowGraph::kInfinite;
-          for (const int ce : cycle)
-            m = std::min(m, remaining_[static_cast<std::size_t>(ce)]);
-          for (const int ce : cycle)
-            remaining_[static_cast<std::size_t>(ce)] -= m;
+          for (std::size_t j = k; j < stack_.size(); ++j)
+            m = std::min(m, remaining_[static_cast<std::size_t>(stack_[j].p)]);
+          for (std::size_t j = k; j < stack_.size(); ++j)
+            remaining_[static_cast<std::size_t>(stack_[j].p)] -= m;
           return true;
         }
-        if (color_[static_cast<std::size_t>(w)] == 0) {
-          color_[static_cast<std::size_t>(w)] = 1;
-          entry_arc_[w] = e;
-          ++i;
-          stack.push_back({w, 0});
-          descended = true;
-          break;
-        }
+        if (color_[static_cast<std::size_t>(w)] == 0) break;
       }
-      if (!descended) {
-        color_[static_cast<std::size_t>(v)] = 2;
-        stack.pop_back();
+      if (f.p < end) {
+        const int w = g_.head(f.p);
+        color_[static_cast<std::size_t>(w)] = 1;
+        stack_.push_back({w, g_.first_pos(w)});  // invalidates f
+      } else {
+        color_[static_cast<std::size_t>(f.v)] = 2;
+        stack_.pop_back();
+        if (!stack_.empty()) ++stack_.back().p;
       }
     }
   }
@@ -170,27 +172,28 @@ void RoutingEngine::decompose(const ClusterTopology& topo,
                               MinMaxLoadResult& result) {
   MHP_SPAN("decompose");
   const std::size_t n = topo.num_sensors();
-  // remaining_[e]: undistributed flow on forward arc e.  The sink has no
-  // outgoing forward flow, so cancel_cycles never touches s→…→t paths'
-  // net balance at the terminals.
-  remaining_.assign(static_cast<std::size_t>(g_.num_arcs()), 0);
-  for (int e = 0; e < g_.num_arcs(); e += 2)
-    remaining_[static_cast<std::size_t>(e)] = g_.flow(e);
+  // remaining_[p]: undistributed flow on the arc at CSR position p —
+  // positive only on forward arcs carrying flow (a residual twin's net
+  // flow is ≤ 0).  The sink has no outgoing forward flow, so
+  // cancel_cycles never touches s→…→t paths' net balance at the
+  // terminals.
+  const auto m = static_cast<std::size_t>(g_.num_arcs());
+  remaining_.resize(m);
+  for (std::size_t p = 0; p < m; ++p)
+    remaining_[p] = std::max<Cap>(g_.flow_at(static_cast<int>(p)), 0);
   cancel_cycles();
 
   // Monotone per-node cursors: remaining_ only decreases during the walk,
   // so skipping permanently-drained arcs returns the same first-positive
   // arc a full rescan would.
-  cursor_.assign(static_cast<std::size_t>(g_.num_nodes()), 0);
+  cursor_.resize(static_cast<std::size_t>(g_.num_nodes()));
+  for (int v = 0; v < g_.num_nodes(); ++v)
+    cursor_[static_cast<std::size_t>(v)] = g_.first_pos(v);
   auto next_arc = [&](int v) -> int {
-    const auto arcs = g_.arcs_out(v);
+    const int end = g_.end_pos(v);
     auto& c = cursor_[static_cast<std::size_t>(v)];
-    while (c < arcs.size()) {
-      const int e = arcs[c];
-      if ((e % 2) == 0 && remaining_[static_cast<std::size_t>(e)] > 0)
-        return e;
-      ++c;
-    }
+    for (; c < end; ++c)
+      if (remaining_[static_cast<std::size_t>(c)] > 0) return c;
     return -1;
   };
 
@@ -199,29 +202,29 @@ void RoutingEngine::decompose(const ClusterTopology& topo,
     while (left > 0) {
       // One unit path: input(s) → … → sink.  The source→input(s) unit is
       // consumed implicitly through `left`.
-      std::vector<NodeId> hops{s};
+      hops_.assign(1, s);
       int v = Layout::input(s);
       int steps = 0;
       while (v != Layout::sink()) {
-        const int e = next_arc(v);
-        MHP_ENSURE(e >= 0, "flow decomposition stuck (conservation broken)");
+        const int p = next_arc(v);
+        MHP_ENSURE(p >= 0, "flow decomposition stuck (conservation broken)");
         MHP_ENSURE(++steps <= g_.num_arcs(),
                    "flow decomposition loop (cycle survived cancellation)");
-        remaining_[static_cast<std::size_t>(e)] -= 1;
-        v = g_.arc_to(e);
+        remaining_[static_cast<std::size_t>(p)] -= 1;
+        v = g_.head(p);
         if (Layout::is_input(v) && v != Layout::input(s))
-          hops.push_back(Layout::sensor_of(v));
+          hops_.push_back(Layout::sensor_of(v));
       }
-      hops.push_back(topo.head());
+      hops_.push_back(topo.head());
       // Merge with an identical existing path if any.
       auto& list = result.paths[s];
       auto it = std::find_if(list.begin(), list.end(), [&](const UnitPath& p) {
-        return p.hops == hops;
+        return p.hops == hops_;
       });
       if (it != list.end())
         it->units += 1;
       else
-        list.push_back(UnitPath{std::move(hops), 1});
+        list.push_back(UnitPath{hops_, 1});
       left -= 1;
     }
   }
@@ -380,7 +383,7 @@ MinMaxLoadResult RoutingEngine::solve_balanced(
     for (NodeId s = 0; s < n; ++s)
       g_.set_capacity(capacity_arc_[s], lb * weight_[s]);
     g_.clear_flow();
-    const Cap primed = prime_from_hint(*hint);
+    const Cap primed = prime_from_hint(topo, *hint);
     stats_.hint_units = primed;
     if (primed > 0) {
       g_.save_flow(base_flow_);

@@ -91,8 +91,8 @@ class RoutingEngine {
 
   void build_network(const ClusterTopology& topo, const std::vector<Cap>& demand,
                      const std::vector<Cap>& weight);
-  Cap prime_from_hint(const std::vector<std::vector<UnitPath>>& hint);
-  int find_link_arc(NodeId a, NodeId b) const;
+  Cap prime_from_hint(const ClusterTopology& topo,
+                      const std::vector<std::vector<UnitPath>>& hint);
 
   /// Analytic δ floor: per-level cut bounds (all demand from level ≥ L
   /// crosses the level-L sensors; L = 1 is the head cut) and per-sensor
@@ -116,6 +116,7 @@ class RoutingEngine {
   std::vector<std::int32_t> demand_arc_;    // per sensor (-1 if demand 0)
   std::vector<std::int32_t> capacity_arc_;  // per sensor input→output arc
   std::vector<std::int32_t> sink_arc_;      // per sensor (-1 unless 1st level)
+  int first_link_arc_ = 0;                  // links are the last arcs added
   std::vector<Cap> weight_;                 // resolved weights for this solve
 
   // Flow snapshots (per forward arc): the warm-start base (max flow at
@@ -129,11 +130,17 @@ class RoutingEngine {
 
   MaxFlow max_flow_;
 
-  // Decomposition scratch.
+  // Decomposition scratch: remaining_ by CSR position, the rest by node
+  // or DFS depth.
+  struct Frame {
+    int v;  // node
+    int p;  // cursor: a position in v's slice
+  };
   std::vector<Cap> remaining_;
-  std::vector<std::uint32_t> cursor_;
+  std::vector<std::int32_t> cursor_;
   std::vector<std::int8_t> color_;
-  std::vector<std::int32_t> entry_arc_;
+  std::vector<Frame> stack_;
+  std::vector<NodeId> hops_;  // the unit path being walked
 };
 
 /// One cluster's routing problem for a batch solve.

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <span>
+#include <string>
+#include <tuple>
 
 #include "net/deployment.hpp"
 #include "route/flow_graph.hpp"
@@ -138,6 +141,201 @@ TEST_P(RandomMaxFlow, AlgorithmsAgreeAndFlowsAreValid) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomMaxFlow, ::testing::Range(0, 25));
+
+// ---------- CSR layout vs the id-ordered reference ----------
+
+/// The flow network as it stood before arcs were stored in CSR order:
+/// per-arc arrays indexed by arc id, a CSR index of arc ids per node,
+/// and Dinic (restarting every path search from s) and Edmonds–Karp
+/// reading heads and residuals through those ids.  The layout must not
+/// change a single flow value.
+class IdOrderedFlow {
+ public:
+  using Cap = FlowGraph::Cap;
+
+  explicit IdOrderedFlow(int n) : n_(n) {}
+
+  void add_arc(int u, int v, Cap cap) {
+    from_.insert(from_.end(), {u, v});
+    to_.insert(to_.end(), {v, u});
+    cap_.insert(cap_.end(), {cap, 0});
+    cap_init_.insert(cap_init_.end(), {cap, 0});
+  }
+
+  void build_csr() {
+    begin_.assign(static_cast<std::size_t>(n_) + 1, 0);
+    for (const int u : from_) ++begin_[static_cast<std::size_t>(u) + 1];
+    for (int v = 0; v < n_; ++v) begin_[v + 1] += begin_[v];
+    std::vector<int> cursor(begin_.begin(), begin_.end() - 1);
+    arcs_.resize(from_.size());
+    for (std::size_t e = 0; e < from_.size(); ++e)
+      arcs_[static_cast<std::size_t>(cursor[from_[e]]++)] = static_cast<int>(e);
+  }
+
+  void set_capacity(int e, Cap cap) { cap_init_[e] = cap; }
+  void install_flow(const std::vector<Cap>& fwd) {
+    for (std::size_t k = 0; k < fwd.size(); ++k) {
+      cap_[2 * k] = cap_init_[2 * k] - fwd[k];
+      cap_[2 * k + 1] = fwd[k];
+    }
+  }
+  std::vector<Cap> save_flow() const {
+    std::vector<Cap> fwd(cap_.size() / 2);
+    for (std::size_t k = 0; k < fwd.size(); ++k)
+      fwd[k] = cap_init_[2 * k] - cap_[2 * k];
+    return fwd;
+  }
+  Cap flow(int e) const { return cap_init_[e] - cap_[e]; }
+  Cap residual(int e) const { return cap_[e]; }
+
+  Cap augment(int s, int t, MaxFlowAlgo algo) {
+    return algo == MaxFlowAlgo::kDinic ? dinic(s, t) : edmonds_karp(s, t);
+  }
+
+ private:
+  std::span<const int> out(int v) const {
+    return {arcs_.data() + begin_[v], arcs_.data() + begin_[v + 1]};
+  }
+  void push(int e, Cap x) {
+    cap_[e] -= x;
+    cap_[e ^ 1] += x;
+  }
+
+  Cap edmonds_karp(int s, int t) {
+    Cap total = 0;
+    for (;;) {
+      std::vector<int> pred(static_cast<std::size_t>(n_), -1);
+      std::vector<int> queue{s};
+      pred[s] = -2;
+      bool found = false;
+      for (std::size_t h = 0; h < queue.size() && !found; ++h)
+        for (const int e : out(queue[h]))
+          if (pred[to_[e]] == -1 && cap_[e] > 0) {
+            pred[to_[e]] = e;
+            if (to_[e] == t) {
+              found = true;
+              break;
+            }
+            queue.push_back(to_[e]);
+          }
+      if (!found) return total;
+      Cap b = FlowGraph::kInfinite;
+      for (int v = t; v != s; v = from_[pred[v]])
+        b = std::min(b, cap_[pred[v]]);
+      for (int v = t; v != s; v = from_[pred[v]]) push(pred[v], b);
+      total += b;
+    }
+  }
+
+  Cap dinic(int s, int t) {
+    Cap total = 0;
+    for (;;) {
+      level_.assign(static_cast<std::size_t>(n_), -1);
+      std::vector<int> queue{s};
+      level_[s] = 0;
+      for (std::size_t h = 0; h < queue.size(); ++h)
+        for (const int e : out(queue[h]))
+          if (level_[to_[e]] < 0 && cap_[e] > 0) {
+            level_[to_[e]] = level_[queue[h]] + 1;
+            queue.push_back(to_[e]);
+          }
+      if (level_[t] < 0) return total;
+      iter_.assign(static_cast<std::size_t>(n_), 0);
+      while (const Cap pushed = dfs(s, t, FlowGraph::kInfinite))
+        total += pushed;
+    }
+  }
+
+  /// The textbook recursive blocking-flow DFS (graphs here are small).
+  Cap dfs(int v, int t, Cap limit) {
+    if (v == t) return limit;
+    const auto arcs = out(v);
+    for (std::size_t& i = iter_[v]; i < arcs.size(); ++i) {
+      const int e = arcs[i];
+      if (cap_[e] > 0 && level_[to_[e]] == level_[v] + 1)
+        if (const Cap d = dfs(to_[e], t, std::min(limit, cap_[e])); d > 0) {
+          push(e, d);
+          return d;
+        }
+    }
+    return 0;
+  }
+
+  int n_;
+  std::vector<int> from_, to_, begin_, arcs_, level_;
+  std::vector<Cap> cap_, cap_init_;
+  std::vector<std::size_t> iter_;
+};
+
+/// Per arc id: flow and residual bit-equal between the two layouts.
+void expect_same_arcs(const FlowGraph& g, const IdOrderedFlow& ref,
+                      const std::string& what) {
+  for (int e = 0; e < g.num_arcs(); ++e) {
+    ASSERT_EQ(g.flow(e), ref.flow(e)) << what << " arc " << e;
+    ASSERT_EQ(g.residual(e), ref.residual(e)) << what << " arc " << e;
+  }
+}
+
+TEST(FlowLayout, MatchesIdOrderedReference) {
+  int carried = 0;  // solves that moved flow, so the check has teeth
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(500 + seed);
+    const int n = 3 + static_cast<int>(rng.below(12));
+    std::vector<std::tuple<int, int, FlowGraph::Cap>> spec;
+    const int tries = 2 * n + static_cast<int>(rng.below(30));
+    for (int k = 0; k < tries; ++k) {
+      const int u = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
+      const int v = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
+      if (u == v) continue;  // self-loops are skipped
+      // Zero-capacity forward arcs, and the odd parallel copy.
+      const FlowGraph::Cap cap =
+          rng.bernoulli(0.15) ? 0
+                              : static_cast<FlowGraph::Cap>(1 + rng.below(9));
+      spec.push_back({u, v, cap});
+      if (rng.bernoulli(0.2)) spec.push_back({u, v, 1 + cap});
+    }
+    for (const MaxFlowAlgo algo :
+         {MaxFlowAlgo::kDinic, MaxFlowAlgo::kEdmondsKarp}) {
+      const std::string what = "seed " + std::to_string(seed) +
+                               (algo == MaxFlowAlgo::kDinic ? " dinic" : " ek");
+      FlowGraph g;
+      g.reset(n);
+      IdOrderedFlow ref(n);
+      for (const auto& [u, v, c] : spec) {
+        g.add_arc(u, v, c);
+        ref.add_arc(u, v, c);
+      }
+      g.build_csr();
+      ref.build_csr();
+      MaxFlow mf;
+      const int s = 0, t = n - 1;
+      const FlowGraph::Cap value = mf.augment(g, s, t, algo);
+      ASSERT_EQ(value, ref.augment(s, t, algo)) << what;
+      if (value > 0) ++carried;
+      expect_same_arcs(g, ref, what + " cold");
+
+      // Warm sequence, as a δ-probe runs it: raise some capacities,
+      // reinstall the saved flow, augment on top, snapshot.
+      std::vector<FlowGraph::Cap> saved;
+      g.save_flow(saved);
+      ASSERT_EQ(saved, ref.save_flow()) << what;
+      for (int e = 0; e < g.num_arcs(); e += 2) {
+        if (!rng.bernoulli(0.5)) continue;
+        const FlowGraph::Cap cap =
+            g.capacity(e) + static_cast<FlowGraph::Cap>(rng.below(5));
+        g.set_capacity(e, cap);
+        ref.set_capacity(e, cap);
+      }
+      g.install_flow(saved);
+      ref.install_flow(saved);
+      ASSERT_EQ(mf.augment(g, s, t, algo), ref.augment(s, t, algo)) << what;
+      expect_same_arcs(g, ref, what + " warm");
+      g.save_flow(saved);
+      EXPECT_EQ(saved, ref.save_flow()) << what;
+    }
+  }
+  EXPECT_GE(carried, 50);
+}
 
 // ---------- Min-max load ----------
 

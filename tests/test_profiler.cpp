@@ -167,6 +167,38 @@ TEST_F(ProfilerTest, DrainMergeIsDeterministicAcrossWorkerCounts) {
   EXPECT_EQ(two_workers, four_workers);
 }
 
+/// The flow-network build is its own span inside the balanced solve, so
+/// the solve's self time is only its bookkeeping; it runs once per
+/// solve, however many δ-probes follow.
+TEST_F(ProfilerTest, RouteBuildNestsUnderSolveBalanced) {
+  Rng rng(7);
+  const Deployment dep =
+      deploy_connected_uniform_square(40, 220.0, 60.0, rng);
+  const ClusterTopology topo = disc_topology(dep, 60.0);
+  Profiler::instance().enable();
+  route::RoutingEngine engine;
+  const MinMaxLoadResult solved =
+      engine.solve_balanced(topo, std::vector<std::int64_t>(40, 1));
+  Profiler::instance().disable();
+  const ProfileData data = Profiler::instance().drain();
+  ASSERT_TRUE(solved.feasible);
+
+  std::map<std::string, std::vector<const ProfileEvent*>> by_path;
+  for (const ProfileEvent& ev : data.events)
+    by_path[path_of(data, ev)].push_back(&ev);
+  ASSERT_EQ(by_path["route/solve_balanced"].size(), 1u);
+  ASSERT_EQ(by_path["route/solve_balanced/route/build"].size(), 1u);
+  EXPECT_EQ(by_path["route/solve_balanced/route/probe"].size(),
+            static_cast<std::size_t>(engine.last_stats().probes));
+  EXPECT_EQ(by_path["route/solve_balanced/decompose"].size(), 1u);
+  const ProfileEvent& solve = *by_path["route/solve_balanced"].front();
+  const ProfileEvent& build =
+      *by_path["route/solve_balanced/route/build"].front();
+  EXPECT_EQ(build.depth, solve.depth + 1);
+  EXPECT_LE(solve.start_ns, build.start_ns);
+  EXPECT_GE(solve.start_ns + solve.dur_ns, build.start_ns + build.dur_ns);
+}
+
 TEST_F(ProfilerTest, ChromeTraceRoundTripsStrictParser) {
   Profiler::instance().enable();
   {

@@ -5,6 +5,7 @@
 // max-flow search depth is not bounded by the call stack.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 #include "route/routing_engine.hpp"
 #include "scenario/run_scenario.hpp"
 #include "scenario/scenario.hpp"
+#include "util/rng.hpp"
 
 namespace mhp {
 namespace {
@@ -212,6 +214,56 @@ TEST(RouteEngine, ChainedReplansMatchColdAcrossDeathSequence) {
       repair_routes(topo, dead, demand, RoutingPolicy::kBalancedMaxFlow);
   EXPECT_EQ(fingerprint(hinted.plan), fingerprint(cold.plan));
   EXPECT_EQ(hinted.orphaned, cold.orphaned);
+}
+
+// ---------- plan digest golden ----------
+
+// FNV-1a over a fingerprint string: a one-number pin of every path,
+// per-path unit count, load and δ* of a solve.
+std::uint64_t digest(const std::string& text) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// A 2000-sensor disc cluster at route_scale's density (1000 m² per
+// sensor).  The pinned digests were taken from the flow network's
+// original id-ordered arc storage; any change to max-flow visit order or
+// to the path decomposition moves them.
+TEST(RouteEngine, PlanDigestGoldenAtTwoThousandSensors) {
+  constexpr std::size_t n = 2000;
+  Rng rng(20);
+  const Deployment dep = deploy_connected_uniform_square(
+      n, std::sqrt(1000.0 * static_cast<double>(n)), exp::kSensorRange, rng);
+  const ClusterTopology topo = disc_topology(dep, exp::kSensorRange);
+  const std::vector<std::int64_t> demand(n, 1);
+
+  RoutingEngine engine;
+  const MinMaxLoadResult cold = engine.solve_balanced(topo, demand);
+  ASSERT_TRUE(cold.feasible);
+  const std::int64_t cold_delta = engine.last_stats().delta_star;
+  const std::string cold_fp =
+      fingerprint(cold) + "delta*=" + std::to_string(cold_delta);
+  EXPECT_EQ(digest(cold_fp), 0x9f2929b9bf23dc0cull) << "delta*=" << cold_delta;
+
+  // The busiest relay (lowest id on ties) dies; the repair is warm-hinted
+  // with the surviving plan, as the cluster pipeline does it.
+  const RelayPlan plan(topo, cold);
+  NodeId victim = 0;
+  for (NodeId s = 1; s < n; ++s)
+    if (plan.load(s) > plan.load(victim)) victim = s;
+  engine.set_warm_hint(&plan.all_paths());
+  const RouteRepair repair = repair_routes(
+      topo, {victim}, demand, RoutingPolicy::kBalancedMaxFlow, &engine, &plan);
+  EXPECT_GT(engine.last_stats().hint_units, 0);
+  const std::int64_t repair_delta = engine.last_stats().delta_star;
+  const std::string repair_fp =
+      fingerprint(repair.plan) + "delta*=" + std::to_string(repair_delta);
+  EXPECT_EQ(digest(repair_fp), 0xfc26cf74a9928bf1ull)
+      << "victim=" << victim << " delta*=" << repair_delta;
 }
 
 // ---------- parallel per-cluster solves ----------
