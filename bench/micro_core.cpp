@@ -1,11 +1,14 @@
 // Micro-benchmarks (google-benchmark): the algorithmic kernels — greedy
-// scheduling, max-flow routing, set cover, sector partitioning.
+// scheduling (with the offline cycle behind the oracle memo), max-flow
+// routing, set cover, sector partitioning.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 
 #include "core/ack_collection.hpp"
 #include "core/greedy_scheduler.hpp"
+#include "core/interference.hpp"
+#include "core/routing.hpp"
 #include "core/sectors.hpp"
 #include "net/deployment.hpp"
 #include "route/min_max_load.hpp"
@@ -74,6 +77,36 @@ BENCHMARK(BM_MinMaxLoadRouting)
     ->Arg(2000)
     ->Arg(20000)
     ->Unit(benchmark::kMicrosecond);
+
+// One offline greedy cycle (the route_scale benchmark's run phase) at the
+// same density: min-max-load paths, disc interference at M = 3 behind a
+// fresh pair-screening CachedOracle per iteration, so every iteration
+// pays the memo's misses and growth as one cycle does.
+void BM_OfflineCycle(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr double kRange = 60.0;
+  Rng rng(0x9e1f + n);
+  const Deployment dep = deploy_connected_uniform_square(
+      n, std::sqrt(1000.0 * static_cast<double>(n)), kRange, rng);
+  const ClusterTopology topo = disc_topology(dep, kRange);
+  const RelayPlan plan(topo, route::RoutingEngine().solve_balanced(
+                                 topo, std::vector<std::int64_t>(n, 1)));
+  std::vector<std::vector<NodeId>> paths;
+  for (NodeId s = 0; s < n; ++s)
+    paths.push_back(plan.path_for_cycle(s, 0).hops);
+  const DiscModelOracle truth(dep.positions, kRange, 3);
+  std::size_t slots = 0;
+  for (auto _ : state) {
+    const CachedOracle cached(truth, CachedOracle::PairScreen::kOn);
+    slots = run_offline(cached, paths).slots;
+    benchmark::DoNotOptimize(slots);
+  }
+  state.counters["slots"] = static_cast<double>(slots);
+}
+BENCHMARK(BM_OfflineCycle)
+    ->Arg(2000)
+    ->Arg(20000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MaxFlowAlgos(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

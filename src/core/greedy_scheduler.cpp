@@ -68,7 +68,14 @@ std::vector<ScheduledTx>& GreedyPollingScheduler::occupancy(std::size_t slot) {
   MHP_REQUIRE(slot >= slot_, "occupancy of a past slot");
   const std::size_t k = slot - slot_;
   while (future_.size() <= k) future_.emplace_back();
-  return future_[k];
+  // Callers append to the slot.  A slot never holds more than order()
+  // transmissions (plan_slot stops there and admissible() rejects a hop
+  // that would overfill a later slot), so reserving that much at the
+  // first append is the slot's only allocation; slots that stay empty
+  // allocate nothing.
+  std::vector<ScheduledTx>& txs = future_[k];
+  if (txs.capacity() == 0) txs.reserve(slot_reserve_);
+  return txs;
 }
 
 std::vector<RequestId>& GreedyPollingScheduler::due_list(std::size_t k) {
@@ -210,7 +217,7 @@ OfflineRunResult run_offline(const CompatibilityOracle& oracle,
   while (!sched.finished()) {
     if (sched.current_slot() >= max_slots) {
       result.slots = sched.current_slot();
-      result.schedule = sched.history();
+      result.schedule = sched.take_history();
       result.transmissions = sched.total_attempted_transmissions();
       result.reactivations = sched.reactivations();
       return result;  // all_delivered stays false
@@ -226,7 +233,7 @@ OfflineRunResult run_offline(const CompatibilityOracle& oracle,
       if (!hop_failed[id]) delivered.push_back(id);
     sched.complete_slot(delivered);
   }
-  result.schedule = sched.history();
+  result.schedule = sched.take_history();
   result.slots = sched.current_slot();
   result.all_delivered = true;
   result.transmissions = sched.total_attempted_transmissions();

@@ -8,10 +8,12 @@
 // its request — this on-line loop is what absorbs wireless loss.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/interference.hpp"
@@ -23,7 +25,9 @@ namespace mhp {
 class GreedyPollingScheduler {
  public:
   explicit GreedyPollingScheduler(const CompatibilityOracle& oracle)
-      : oracle_(oracle) {}
+      : oracle_(oracle),
+        slot_reserve_(std::min(static_cast<std::size_t>(oracle.order()),
+                               kMaxSlotReserve)) {}
 
   /// Register a packet to collect; requests are scanned in insertion
   /// order (the paper's "arbitrary predetermined order").
@@ -65,6 +69,10 @@ class GreedyPollingScheduler {
   /// Slots holding at least one transmission so far (committed history).
   const Schedule& history() const { return history_; }
 
+  /// Move the committed history out, leaving history() empty — for a
+  /// driver that is done with the scheduler (run_offline).
+  Schedule take_history() { return std::exchange(history_, {}); }
+
   std::size_t total_attempted_transmissions() const { return attempts_; }
 
   /// How many times requests were re-activated after a loss.
@@ -81,8 +89,14 @@ class GreedyPollingScheduler {
 
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
+  /// Cap on a slot's up-front reservation: the schema accepts any
+  /// oracle order >= 1, and a large one must not reserve memory that no
+  /// slot fills.
+  static constexpr std::size_t kMaxSlotReserve = 16;
+
   /// Transmissions already committed to `slot` (relays of in-flight
-  /// requests and requests admitted earlier in this planning pass).
+  /// requests and requests admitted earlier in this planning pass), for
+  /// appending: the first append finds room for slot_reserve_ of them.
   std::vector<ScheduledTx>& occupancy(std::size_t slot);
 
   /// Requests whose last hop runs in slot `slot_ + k` (ascending id).
@@ -98,6 +112,7 @@ class GreedyPollingScheduler {
   void active_insert_sorted(std::uint32_t id);
 
   const CompatibilityOracle& oracle_;
+  std::size_t slot_reserve_;  // min(order(), kMaxSlotReserve)
   /// Group buffer admissible() refills per hop instead of allocating.
   mutable std::vector<Tx> scratch_;
   std::vector<Request> requests_;

@@ -34,7 +34,10 @@ bool CompatibilityOracle::compatible(std::span<const Tx> txs) const {
   // structural screen runs on the deduped group.  (Callers that must
   // forbid double-booking a sender in one slot, like the greedy
   // scheduler, enforce that themselves.)
-  const TxGroup g = normalize(txs);
+  return compatible_normalized(normalize(txs));
+}
+
+bool CompatibilityOracle::compatible_normalized(const TxGroup& g) const {
   if (g.size() <= 1) return g.empty() || g[0].from != g[0].to;
   if (static_cast<int>(g.size()) > order()) return false;
   if (!structurally_valid(g)) return false;
@@ -92,15 +95,15 @@ bool MeasuredOracle::compatible_impl(const TxGroup& group) const {
     if (!std::binary_search(universe_.begin(), universe_.end(), t))
       return false;  // never tested
   ++probes_;
-  return truth_.compatible(group);
+  return truth_.compatible_normalized(group);
 }
 
 bool DiscModelOracle::compatible_impl(const TxGroup& group) const {
   for (std::size_t i = 0; i < group.size(); ++i)
     for (std::size_t j = 0; j < group.size(); ++j) {
       if (i == j) continue;
-      if (distance(positions_.at(group[i].to),
-                   positions_.at(group[j].from)) <= range_)
+      if (band_.within(positions_.at(group[i].to),
+                       positions_.at(group[j].from)))
         return false;  // receiver i hears sender j: collision
     }
   return true;
@@ -108,13 +111,22 @@ bool DiscModelOracle::compatible_impl(const TxGroup& group) const {
 
 namespace {
 
-/// Hash of a normalized group: each member packed into one word and
-/// folded in with a multiply–xorshift round, then a splitmix64 finalizer
-/// so the low bits the table masks with depend on every endpoint.
-std::uint64_t group_hash(std::span<const Tx> g) {
+/// A transmission as one word; packed order is Tx order (from, then to).
+std::uint64_t pack(Tx t) {
+  return static_cast<std::uint64_t>(t.from) << 32 | t.to;
+}
+
+Tx unpack(std::uint64_t w) {
+  return Tx{static_cast<NodeId>(w >> 32), static_cast<NodeId>(w)};
+}
+
+/// Hash of a normalized, packed group: each member folded in with a
+/// multiply–xorshift round, then a splitmix64 finalizer so the high half
+/// the table takes its tags from depends on every endpoint.
+std::uint64_t group_hash(std::span<const std::uint64_t> g) {
   std::uint64_t h = g.size();
-  for (const Tx& t : g) {
-    h ^= (static_cast<std::uint64_t>(t.from) << 32) | t.to;
+  for (const std::uint64_t w : g) {
+    h ^= w;
     h *= 0x9e3779b97f4a7c15ull;
     h ^= h >> 29;
   }
@@ -125,83 +137,122 @@ std::uint64_t group_hash(std::span<const Tx> g) {
   return h ^ (h >> 31);
 }
 
+std::uint32_t tag_of(std::span<const std::uint64_t> g) {
+  return static_cast<std::uint32_t>(group_hash(g) >> 32);
+}
+
 }  // namespace
 
-std::size_t CachedOracle::find_slot(std::span<const Tx> g,
-                                    std::uint64_t hash) const {
+std::size_t CachedOracle::find_slot(Words g, std::uint32_t tag) const {
+  ++lookups_;
   const std::size_t mask = slots_.size() - 1;
-  const auto length = static_cast<std::uint32_t>(g.size());
-  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-    const Slot& s = slots_[i];
-    if (s.meta == 0) return i;
-    if (s.hash == hash && s.meta >> 1 == length &&
-        std::equal(g.begin(), g.end(), keys_.begin() + s.offset))
+  for (std::size_t i = tag & mask;; i = (i + 1) & mask) {
+    const std::uint64_t s = slots_[i];
+    if (s == 0) return i;
+    if (static_cast<std::uint32_t>(s >> 32) != tag) continue;
+    const std::uint64_t* entry =
+        arena_.data() + (static_cast<std::uint32_t>(s) - 1);
+    if (entry[0] >> 1 == g.size() && std::equal(g.begin(), g.end(), entry + 1))
       return i;
   }
 }
 
-void CachedOracle::insert_at(std::size_t at, std::span<const Tx> g,
-                             std::uint64_t hash, bool verdict) const {
-  MHP_ENSURE(keys_.size() + g.size() <= UINT32_MAX,
-             "oracle memo key arena exceeds 32-bit offsets");
-  slots_[at] = Slot{hash, static_cast<std::uint32_t>(keys_.size()),
-                    static_cast<std::uint32_t>(g.size()) << 1 |
-                        static_cast<std::uint32_t>(verdict)};
-  keys_.insert(keys_.end(), g.begin(), g.end());
+void CachedOracle::insert_at(std::size_t at, Words g, std::uint32_t tag,
+                             bool verdict) const {
+  MHP_ENSURE(arena_.size() + 1 + g.size() <= UINT32_MAX,
+             "oracle memo arena exceeds 32-bit offsets");
+  slots_[at] = static_cast<std::uint64_t>(tag) << 32 | (arena_.size() + 1);
+  arena_.push_back(g.size() << 1 | static_cast<std::uint64_t>(verdict));
+  arena_.insert(arena_.end(), g.begin(), g.end());
   if (++size_ * 2 > slots_.size()) grow();
 }
 
 void CachedOracle::grow() const {
-  const std::vector<Slot> old =
-      std::exchange(slots_, std::vector<Slot>(slots_.size() * 2));
+  // Home slots come from the 32-bit tag, so the table can index at most
+  // 2^32 of them.
+  MHP_ENSURE(slots_.size() * 2 <= std::uint64_t{1} << 32,
+             "oracle memo table outgrows its 32-bit probe tags");
+  const std::vector<std::uint64_t> old =
+      std::exchange(slots_, std::vector<std::uint64_t>(slots_.size() * 2));
   const std::size_t mask = slots_.size() - 1;
-  for (const Slot& s : old) {
-    if (s.meta == 0) continue;
-    std::size_t i = s.hash & mask;
-    while (slots_[i].meta != 0) i = (i + 1) & mask;
+  for (const std::uint64_t s : old) {
+    if (s == 0) continue;
+    std::size_t i = (s >> 32) & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
     slots_[i] = s;
   }
 }
 
+void CachedOracle::count_hit() const {
+  ++hits_;
+  if (hit_counter_) hit_counter_->add();
+}
+
+bool CachedOracle::screened_out(Words g) const {
+  if (screen_ == PairScreen::kOff || g.size() <= 2) return false;
+  // A pair already known incompatible dooms every group containing it
+  // (monotone oracles only; see the header).  `g` is sorted/unique, so
+  // each {g[i], g[j]} with i<j is itself a normalized group.
+  for (std::size_t i = 0; i + 1 < g.size(); ++i)
+    for (std::size_t j = i + 1; j < g.size(); ++j) {
+      const std::uint64_t pair[2] = {g[i], g[j]};
+      const std::uint64_t s = slots_[find_slot(pair, tag_of(pair))];
+      if (s != 0 && (arena_[static_cast<std::uint32_t>(s) - 1] & 1) == 0) {
+        count_hit();
+        ++screened_;
+        return true;
+      }
+    }
+  return false;
+}
+
 bool CachedOracle::compatible(std::span<const Tx> txs) const {
+  // The scheduler asks about a group per hop per candidate per slot, so
+  // normalization is an insertion sort into the reused packed buffer,
+  // dropping repeats: no allocation, no std::sort.
+  std::vector<std::uint64_t>& g = words_;
+  g.clear();
+  for (const Tx& t : txs) {
+    const std::uint64_t w = pack(t);
+    auto at = g.end();
+    while (at != g.begin() && *(at - 1) > w) --at;
+    if (at != g.begin() && *(at - 1) == w) continue;
+    g.insert(at, w);
+  }
+  return lookup();
+}
+
+bool CachedOracle::compatible_normalized(const TxGroup& group) const {
+  words_.clear();
+  for (const Tx& t : group) words_.push_back(pack(t));
+  return lookup();
+}
+
+bool CachedOracle::lookup() const {
   // Mirror the base class's trivial-group handling so cached and uncached
   // answers agree on every input; only non-trivial groups hit the memo.
-  // The scheduler asks about a group per hop per candidate per slot, so
-  // normalization runs in a reusable scratch buffer: the memo key is
-  // copied into the arena only on a miss.
-  TxGroup& g = norm_scratch_;
-  g.assign(txs.begin(), txs.end());
-  std::sort(g.begin(), g.end());
-  g.erase(std::unique(g.begin(), g.end()), g.end());
-  if (g.size() <= 1) return g.empty() || g[0].from != g[0].to;
-  if (static_cast<int>(g.size()) > order()) return false;
-  if (screen_ == PairScreen::kOn && g.size() > 2) {
-    // A pair already known incompatible dooms every group containing it
-    // (monotone oracles only; see the header).  `g` is sorted/unique, so
-    // each {g[i], g[j]} with i<j is itself a normalized group.
-    for (std::size_t i = 0; i + 1 < g.size(); ++i)
-      for (std::size_t j = i + 1; j < g.size(); ++j) {
-        const Tx pair[2] = {g[i], g[j]};
-        const Slot& s = slots_[find_slot(pair, group_hash(pair))];
-        if (s.meta != 0 && (s.meta & 1) == 0) {
-          ++hits_;
-          ++screened_;
-          if (hit_counter_) hit_counter_->add();
-          return false;
-        }
-      }
+  const Words g(words_);
+  if (g.size() <= 1) return g.empty() || (g[0] >> 32) != (g[0] & UINT32_MAX);
+  if (g.size() > static_cast<std::size_t>(order_)) return false;
+  const std::uint32_t tag = tag_of(g);
+  const std::size_t at = find_slot(g, tag);
+  if (slots_[at] != 0) {
+    // Group first: a memoized-compatible group passed the screen when it
+    // was stored and nothing since can make the screen reject it (see the
+    // header), so only an incompatible one is screened.
+    const bool verdict =
+        (arena_[static_cast<std::uint32_t>(slots_[at]) - 1] & 1) != 0;
+    if (!verdict && screened_out(g)) return false;
+    count_hit();
+    return verdict;
   }
-  const std::uint64_t hash = group_hash(g);
-  const std::size_t at = find_slot(g, hash);
-  if (slots_[at].meta != 0) {
-    ++hits_;
-    if (hit_counter_) hit_counter_->add();
-    return (slots_[at].meta & 1) != 0;
-  }
+  if (screened_out(g)) return false;
   ++misses_;
   if (miss_counter_) miss_counter_->add();
-  const bool ok = inner_.compatible(g);
-  insert_at(at, g, hash, ok);
+  miss_group_.clear();
+  for (const std::uint64_t w : g) miss_group_.push_back(unpack(w));
+  const bool ok = inner_.compatible_normalized(miss_group_);
+  insert_at(at, g, tag, ok);
   if (screen_ == PairScreen::kOn && ok && g.size() > 2) {
     // Subset closure (monotone oracles only, like the screen): a
     // compatible group proves every pair inside it compatible, so seed
@@ -211,17 +262,17 @@ bool CachedOracle::compatible(std::span<const Tx> txs) const {
     // memoized keeps its verdict.
     for (std::size_t i = 0; i + 1 < g.size(); ++i)
       for (std::size_t j = i + 1; j < g.size(); ++j) {
-        const Tx pair[2] = {g[i], g[j]};
-        const std::uint64_t pair_hash = group_hash(pair);
-        const std::size_t slot = find_slot(pair, pair_hash);
-        if (slots_[slot].meta == 0) insert_at(slot, pair, pair_hash, true);
+        const std::uint64_t pair[2] = {g[i], g[j]};
+        const std::uint32_t pair_tag = tag_of(pair);
+        const std::size_t slot = find_slot(pair, pair_tag);
+        if (slots_[slot] == 0) insert_at(slot, pair, pair_tag, true);
       }
   }
   return ok;
 }
 
 bool CachedOracle::compatible_impl(const TxGroup& group) const {
-  return inner_.compatible(group);
+  return inner_.compatible_normalized(group);
 }
 
 std::uint64_t MeasuredOracle::probe_count(std::size_t universe_size,

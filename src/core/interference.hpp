@@ -49,8 +49,16 @@ class CompatibilityOracle {
 
   /// True iff the group can run concurrently with every transmission
   /// received.  Groups larger than order() are conservatively incompatible.
-  /// Virtual so decorators (CachedOracle) can intercept the whole query.
+  /// Normalizes, then answers through compatible_normalized(); virtual so
+  /// a decorator (CachedOracle) can normalize without allocating.
   virtual bool compatible(std::span<const Tx> txs) const;
+
+  /// compatible() for a group that is already normalized (sorted,
+  /// duplicate-free), as a memo's miss path or a measuring oracle holds
+  /// it: trivial and oversized groups, structural validity, then
+  /// compatible_impl().  Virtual so a decorator (CachedOracle) answers
+  /// from its memo here too.
+  virtual bool compatible_normalized(const TxGroup& group) const;
 
  protected:
   /// Answer for a structurally valid, normalized group of size in
@@ -165,17 +173,20 @@ class DiscModelOracle : public CompatibilityOracle {
   DiscModelOracle(std::vector<Vec2> positions, double interference_range,
                   int order)
       : positions_(std::move(positions)),
-        range_(interference_range),
+        band_(interference_range),
         order_(order) {}
 
   int order() const override { return order_; }
 
  protected:
+  /// "Within range" is `distance() <= range`, tested through the same
+  /// RangeBand as disc_topology: squared distances away from the
+  /// boundary, std::hypot only inside its ±1e-9 band.
   bool compatible_impl(const TxGroup& group) const override;
 
  private:
   std::vector<Vec2> positions_;
-  double range_;
+  RangeBand band_;
   int order_;
 };
 
@@ -189,34 +200,57 @@ class DiscModelOracle : public CompatibilityOracle {
 /// other oracle.  The inner oracle must outlive the cache.
 ///
 /// The memo is a flat open-addressed table: a power-of-two array of
-/// 16-byte slots, each holding the group's 64-bit hash, an offset into one
-/// contiguous key arena and the group length with the verdict packed in.
-/// Lookups probe linearly; the table doubles at load ½ and re-slots by the
-/// stored hashes, never re-reading a key.
+/// 8-byte slots, each holding a 32-bit tag (the high half of the group's
+/// 64-bit hash) and the group's arena offset + 1 (0 = empty).  The arena
+/// holds, per group, a header word (length << 1 | verdict) followed by
+/// the members packed as `from << 32 | to`.  The probe index comes from
+/// the tag, so the table doubles at load ½ and re-slots from the tags
+/// alone, never reading a key.  A query is normalized by insertion into
+/// a reused packed-word buffer (packed order is Tx order), so a lookup
+/// allocates nothing; the inner oracle is asked through
+/// compatible_normalized() on a miss, without normalizing again.
 class CachedOracle : public CompatibilityOracle {
  public:
   /// Opt-in pair screening and subset closure: before consulting the
-  /// memo (or the inner oracle) for a group of three or more, check every
-  /// pair of the group against the cache — a cached-incompatible pair
-  /// proves the whole group incompatible without a new inner query.
-  /// Symmetrically, when the inner oracle declares a larger group
-  /// compatible, every pair inside it is seeded into the memo as
-  /// compatible (subset closure), so first-plan pair queries hit.  Both
-  /// directions are sound only for monotone oracles (a subset of a
-  /// compatible group is compatible; a conflicting pair conflicts in
-  /// every superset), which holds for SINR-style oracles and structural
-  /// validity but NOT for, e.g., an ExplicitOracle that forbids a pair
-  /// outright while allowing its supersets — hence opt-in.  Screen
-  /// rejections count as hits (they are answered from cached data alone).
+  /// inner oracle for a group of three or more, check every pair of the
+  /// group against the cache — a cached-incompatible pair proves the
+  /// whole group incompatible without a new inner query.  Symmetrically,
+  /// when the inner oracle declares a larger group compatible, every pair
+  /// inside it is seeded into the memo as compatible (subset closure), so
+  /// first-plan pair queries hit.  Both directions are sound only for
+  /// monotone oracles (a subset of a compatible group is compatible; a
+  /// conflicting pair conflicts in every superset), which holds for
+  /// SINR-style oracles and structural validity but NOT for, e.g., an
+  /// ExplicitOracle that forbids a pair outright while allowing its
+  /// supersets — hence opt-in.  Screen rejections count as hits (they are
+  /// answered from cached data alone).
+  ///
+  /// The group itself is looked up first, and a memoized-compatible
+  /// group returns at once.  That skips no rejection the screen could
+  /// make: a compatible group of three or more is stored only after the
+  /// screen passed it, closure then holds each of its pairs as
+  /// compatible, and entries are never overwritten.  A memoized-
+  /// incompatible group still runs the screen, so screened() counts
+  /// exactly what a screen-first lookup would.
   enum class PairScreen { kOff, kOn };
 
   explicit CachedOracle(const CompatibilityOracle& inner,
                         PairScreen screen = PairScreen::kOff)
-      : inner_(inner), screen_(screen), slots_(16) {}
+      : inner_(inner),
+        screen_(screen),
+        order_(inner.order()),
+        slots_(16) {}
 
-  int order() const override { return inner_.order(); }
+  /// Not copyable: `CachedOracle outer(inner_cache)` would otherwise copy
+  /// the inner cache instead of wrapping it.  To stack two caches, pass
+  /// the inner one as a `const CompatibilityOracle&`.
+  CachedOracle(const CachedOracle&) = delete;
+  CachedOracle& operator=(const CachedOracle&) = delete;
+
+  int order() const override { return order_; }
 
   bool compatible(std::span<const Tx> txs) const override;
+  bool compatible_normalized(const TxGroup& group) const override;
 
   /// Additionally tally every hit/miss into registry counters (the sims
   /// bind metric::kOracleCacheHit / kOracleCacheMiss).  nullptr unbinds.
@@ -237,35 +271,46 @@ class CachedOracle : public CompatibilityOracle {
                             static_cast<double>(total);
   }
   std::size_t size() const { return size_; }
+  /// Table lookups made so far: one per memo query of a non-trivial
+  /// group, one per pair the screen examines, one per pair closure seeds.
+  std::uint64_t lookups() const { return lookups_; }
 
  protected:
-  /// Unreached (compatible() is fully overridden); delegates for safety.
+  /// Unreached (both public entry points are overridden); delegates for
+  /// safety.
   bool compatible_impl(const TxGroup& group) const override;
 
  private:
-  struct Slot {
-    std::uint64_t hash = 0;
-    std::uint32_t offset = 0;  // first member's index in keys_
-    std::uint32_t meta = 0;    // length << 1 | verdict; 0 = empty
-  };
+  using Words = std::span<const std::uint64_t>;
 
+  /// The memo query for the normalized group packed in words_.
+  bool lookup() const;
+  /// True (and counted as a screened hit) iff the pair screen is on, `g`
+  /// has three or more members and one of its pairs is memoized false.
+  bool screened_out(Words g) const;
   /// Index of the slot holding `g` (a normalized group of size >= 2), or
   /// of the empty slot where it would go.
-  std::size_t find_slot(std::span<const Tx> g, std::uint64_t hash) const;
+  std::size_t find_slot(Words g, std::uint32_t tag) const;
   /// Store `g` → `verdict` in the empty slot `at`; grows at load ½.
-  void insert_at(std::size_t at, std::span<const Tx> g, std::uint64_t hash,
+  void insert_at(std::size_t at, Words g, std::uint32_t tag,
                  bool verdict) const;
   void grow() const;
+  void count_hit() const;
 
   const CompatibilityOracle& inner_;
   PairScreen screen_ = PairScreen::kOff;
-  mutable std::vector<Slot> slots_;  // power-of-two size
-  mutable std::vector<Tx> keys_;     // every memoized group, back to back
+  int order_;
+  /// tag << 32 | (arena offset + 1); 0 = empty.  Power-of-two size.
+  mutable std::vector<std::uint64_t> slots_;
+  /// Every memoized group, back to back: header, then packed members.
+  mutable std::vector<std::uint64_t> arena_;
   mutable std::size_t size_ = 0;
-  mutable TxGroup norm_scratch_;
+  mutable std::vector<std::uint64_t> words_;  // the query, packed
+  mutable TxGroup miss_group_;  // the query unpacked, for the inner oracle
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;
   mutable std::uint64_t screened_ = 0;
+  mutable std::uint64_t lookups_ = 0;
   Counter* hit_counter_ = nullptr;
   Counter* miss_counter_ = nullptr;
 };

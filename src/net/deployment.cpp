@@ -67,23 +67,9 @@ class CellGrid {
                      std::vector<std::pair<NodeId, NodeId>>& out) const {
     out.clear();
     if (ids_.empty()) return;
-    // Verdict-exact range test that skips std::hypot away from the
-    // boundary: the squared distance carries ~4 ulp of relative error and
-    // distance() ~1 ulp, so outside a ±1e-9 relative band around range²
-    // the cheap comparison provably agrees with `distance(a,b) <= range`;
-    // inside the band (constructed exact-boundary layouts land here) the
-    // verdict defers to distance() for bit-exact brute-force parity.
-    const double r2 = range * range;
-    const double r2_lo = r2 * (1.0 - 1e-9);
-    const double r2_hi = r2 * (1.0 + 1e-9);
-    const auto within = [&](Vec2 a, Vec2 b) {
-      const double dx = a.x - b.x;
-      const double dy = a.y - b.y;
-      const double d2 = dx * dx + dy * dy;
-      if (d2 <= r2_lo) return true;
-      if (d2 >= r2_hi) return false;
-      return distance(a, b) <= range;
-    };
+    // Squared distances away from the boundary, distance() inside it:
+    // the verdict equals `distance(a, b) <= range` on every pair.
+    const RangeBand band(range);
     for (std::size_t gy = 0; gy < ny_; ++gy)
       for (std::size_t gx = 0; gx < nx_; ++gx) {
         const std::size_t c = gy * nx_ + gx;
@@ -94,7 +80,7 @@ class CellGrid {
           const Vec2 pa = pos_[i];
           // Runs ascend, so within-cell pairs are already (low, high).
           for (std::size_t j = i + 1; j != ce; ++j)
-            if (within(pa, pos_[j])) out.emplace_back(ids_[i], ids_[j]);
+            if (band.within(pa, pos_[j])) out.emplace_back(ids_[i], ids_[j]);
         }
         // Forward neighbors: E, SW, S, SE.  Cross-cell ids are unordered,
         // so emit (min, max).
@@ -114,7 +100,7 @@ class CellGrid {
             const Vec2 pa = pos_[i];
             const NodeId a = ids_[i];
             for (std::size_t j = fb; j != fe; ++j)
-              if (within(pa, pos_[j])) {
+              if (band.within(pa, pos_[j])) {
                 const NodeId b = ids_[j];
                 out.emplace_back(std::min(a, b), std::max(a, b));
               }

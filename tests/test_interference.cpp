@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numbers>
 #include <set>
 #include <unordered_map>
 
@@ -336,6 +337,83 @@ TEST(DiscModelOracle, CollisionIffReceiverInsideInterferenceRange) {
   EXPECT_FALSE(wide.compatible(std::vector<Tx>{{0, 1}, {2, 3}}));
 }
 
+// Sender of tx 0→1 at the origin, receiver of tx 2→3 at `p`, the other
+// two nodes 10 km apart and far from both: the pair collides iff
+// distance(p, origin) <= range.
+std::vector<Vec2> boundary_layout(Vec2 p) {
+  return {{0, 0}, {-5000, 0}, {5000, 0}, p};
+}
+
+TEST(DiscModelOracle, VerdictsMatchTheDistanceFormAtTheBoundary) {
+  // The oracle and disc_topology share one RangeBand: both must give the
+  // `distance() <= range` verdict exactly at the range, one ulp either
+  // side, for co-located nodes and on and near the circle, where the
+  // squared-distance fast path cannot decide.
+  constexpr double kRange = 60.0;
+  const auto up = [](double v) { return std::nextafter(v, HUGE_VAL); };
+  const auto down = [](double v) { return std::nextafter(v, -HUGE_VAL); };
+  std::vector<Vec2> points = {
+      {kRange, 0},       {down(kRange), 0}, {up(kRange), 0},
+      {0, -kRange},      {0, down(-kRange)}, {0, up(-kRange)},
+      {36, 48},          {down(36), 48},    {up(36), 48},
+      {-36, up(-48)},    {-36, down(-48)},  {0, 0},  // co-located
+      // On the circle to the last ulp, where a bare `dx² + dy² <= range²`
+      // says "outside" but distance() says "within".
+      {39.279277443203505, 45.35568722376329},
+      {59.477255479558352, 7.902915956743187},
+      {-35.540469886791733, 48.341234988631086},
+      {-7.4973669118102739, 59.529736177726278},
+  };
+  Rng rng(23);
+  for (int i = 0; i < 4000; ++i) {
+    const double theta = rng.uniform(0.0, 2.0 * std::numbers::pi);
+    // Half inside the ±1e-9 band around range², half just outside it.
+    const double spread = i % 2 == 0 ? 1e-9 : 1e-7;
+    const double r = kRange * (1.0 + rng.uniform(-spread, spread));
+    points.push_back({r * std::cos(theta), r * std::sin(theta)});
+  }
+  const RangeBand band(kRange);
+  std::size_t collide = 0;
+  for (const Vec2 p : points) {
+    const bool hears = distance(p, Vec2{0, 0}) <= kRange;
+    collide += hears ? 1 : 0;
+    const DiscModelOracle oracle(boundary_layout(p), kRange, 2);
+    EXPECT_EQ(oracle.compatible(std::vector<Tx>{{0, 1}, {2, 3}}), !hears)
+        << p.x << "," << p.y;
+    EXPECT_EQ(band.within(p, Vec2{0, 0}), hears);
+    // disc_topology over the same two points (plus a far head) links
+    // them exactly when the oracle reports the collision.
+    const Deployment dep{{{0, 0}, p, {1e6, 1e6}}};
+    EXPECT_EQ(disc_topology(dep, kRange).sensors_linked(0, 1), hears);
+  }
+  EXPECT_GT(collide, 100u);
+  EXPECT_LT(collide, points.size() - 100);
+}
+
+TEST(DiscModelOracle, VerdictsMatchTheDistanceFormOnARandomField) {
+  constexpr NodeId kNodes = 300;
+  constexpr double kRange = 70.0;
+  Rng rng(29);
+  std::vector<Vec2> pos;
+  for (NodeId i = 0; i < kNodes; ++i)
+    pos.push_back({rng.uniform(0.0, 500.0), rng.uniform(0.0, 500.0)});
+  const DiscModelOracle oracle(pos, kRange, 3);
+  for (int q = 0; q < 20000; ++q) {
+    TxGroup g;
+    const std::size_t size = 2 + rng.below(2);
+    while (g.size() < size)
+      g.push_back(Tx{static_cast<NodeId>(rng.below(kNodes)),
+                     static_cast<NodeId>(rng.below(kNodes))});
+    g = normalize(g);
+    bool want = structurally_valid(g);
+    for (std::size_t i = 0; want && i < g.size(); ++i)
+      for (std::size_t j = 0; j < g.size(); ++j)
+        if (i != j && distance(pos[g[i].to], pos[g[j].from]) <= kRange)
+          want = false;
+    ASSERT_EQ(oracle.compatible(g), want) << "query " << q;
+  }
+}
+
 // ---------- CachedOracle ----------
 
 TEST(CachedOracle, VerdictsMatchInnerOracleOnEveryQuery) {
@@ -654,6 +732,157 @@ TEST(CachedOracle, FlatMemoMatchesReferenceMap) {
   }
   EXPECT_GE(total_queries, 200'000u);
   EXPECT_GT(largest, kGrowthEntries);
+}
+
+// ---------- CachedOracle lookup order ----------
+
+TEST(CachedOracle, MemoizedCompatibleGroupAnsweredWithoutPairProbes) {
+  const DiscModelOracle truth(screen_positions(), 50.0, 3);
+  const CachedOracle cached(truth, CachedOracle::PairScreen::kOn);
+  const std::vector<Tx> clear{{0, 1}, {4, 5}, {6, 7}};
+  EXPECT_TRUE(cached.compatible(clear));  // miss; closure seeds 3 pairs
+  EXPECT_EQ(cached.misses(), 1u);
+  EXPECT_EQ(cached.size(), 4u);
+
+  // The repeat is one lookup of the group itself: no pair is screened.
+  std::uint64_t before = cached.lookups();
+  EXPECT_TRUE(cached.compatible(clear));
+  EXPECT_EQ(cached.lookups() - before, 1u);
+  EXPECT_EQ(cached.hits(), 1u);
+  EXPECT_EQ(cached.screened(), 0u);
+
+  // A memoized-incompatible triple with no cached-false pair is looked
+  // up, then screened pair by pair, and answered as a plain hit.
+  const std::vector<Tx> bad{{0, 1}, {2, 3}, {4, 5}};
+  EXPECT_FALSE(cached.compatible(bad));  // miss: no pair of it is false
+  EXPECT_EQ(cached.misses(), 2u);
+  before = cached.lookups();
+  EXPECT_FALSE(cached.compatible(bad));
+  EXPECT_EQ(cached.lookups() - before, 4u);  // the group, then 3 pairs
+  EXPECT_EQ(cached.hits(), 2u);
+  EXPECT_EQ(cached.screened(), 0u);
+}
+
+TEST(CachedOracle, MemoizedIncompatibleGroupStillCountsScreens) {
+  // The triple is asked first, so it is stored false before its
+  // colliding pair is known; once the pair is cached false, every repeat
+  // of the triple is a screen hit, as a screen-first lookup counts it.
+  const DiscModelOracle truth(screen_positions(), 50.0, 3);
+  const CachedOracle cached(truth, CachedOracle::PairScreen::kOn);
+  ReferenceMemo reference(truth, /*screen=*/true);
+  const std::vector<Tx> triple{{0, 1}, {2, 3}, {4, 5}};
+  const std::vector<Tx> pair{{2, 3}, {0, 1}};
+  const auto ask = [&](const std::vector<Tx>& g) {
+    const bool got = cached.compatible(g);
+    EXPECT_EQ(got, reference.compatible(g));
+    EXPECT_EQ(cached.hits(), reference.hits);
+    EXPECT_EQ(cached.misses(), reference.misses);
+    EXPECT_EQ(cached.screened(), reference.screened);
+    EXPECT_EQ(cached.size(), reference.size());
+    return got;
+  };
+  EXPECT_FALSE(ask(triple));
+  EXPECT_EQ(cached.screened(), 0u);
+  EXPECT_FALSE(ask(pair));
+  EXPECT_FALSE(ask(triple));
+  EXPECT_FALSE(ask(triple));
+  EXPECT_EQ(cached.screened(), 2u);
+  EXPECT_EQ(cached.misses(), 2u);
+  EXPECT_EQ(cached.size(), 2u);
+}
+
+// Hands every query of a greedy run to a CachedOracle and to the
+// reference map, alternating the two entry points of the cache, and
+// checks verdicts and every counter after each query.
+class LockstepOracle : public CompatibilityOracle {
+ public:
+  LockstepOracle(const CachedOracle& cached, ReferenceMemo& reference)
+      : cached_(cached), reference_(reference) {}
+
+  int order() const override { return cached_.order(); }
+
+  bool compatible(std::span<const Tx> txs) const override {
+    const bool got = ++queries_ % 2 == 0
+                         ? cached_.compatible(txs)
+                         : cached_.compatible_normalized(normalize(txs));
+    EXPECT_EQ(got, reference_.compatible(txs)) << "query " << queries_;
+    EXPECT_EQ(cached_.hits(), reference_.hits) << "query " << queries_;
+    EXPECT_EQ(cached_.misses(), reference_.misses) << "query " << queries_;
+    EXPECT_EQ(cached_.screened(), reference_.screened)
+        << "query " << queries_;
+    EXPECT_EQ(cached_.size(), reference_.size()) << "query " << queries_;
+    return got;
+  }
+
+  std::uint64_t queries() const { return queries_; }
+
+ protected:
+  bool compatible_impl(const TxGroup& group) const override {
+    return cached_.compatible_normalized(group);
+  }
+
+ private:
+  const CachedOracle& cached_;
+  ReferenceMemo& reference_;
+  mutable std::uint64_t queries_ = 0;
+};
+
+TEST(CachedOracle, GreedyQueryStreamMatchesReferenceMemoQueryByQuery) {
+  // A whole offline cycle at route_scale's density: memoized-compatible
+  // triples, closure-seeded pairs and screened groups all recur.
+  constexpr std::size_t kSensors = 300;
+  constexpr double kRange = 60.0;
+  Rng rng(41);
+  const Deployment dep = deploy_connected_uniform_square(
+      kSensors, std::sqrt(1000.0 * kSensors), kRange, rng);
+  const ClusterTopology topo = disc_topology(dep, kRange);
+  const RelayPlan plan(topo, route::RoutingEngine().solve_balanced(
+                                 topo, std::vector<std::int64_t>(kSensors, 1)));
+  std::vector<std::vector<NodeId>> paths;
+  for (NodeId s = 0; s < kSensors; ++s)
+    paths.push_back(plan.path_for_cycle(s, 0).hops);
+  const DiscModelOracle truth(dep.positions, kRange, 3);
+  for (const auto screen :
+       {CachedOracle::PairScreen::kOff, CachedOracle::PairScreen::kOn}) {
+    const CachedOracle cached(truth, screen);
+    ReferenceMemo reference(truth, screen == CachedOracle::PairScreen::kOn);
+    const LockstepOracle lockstep(cached, reference);
+    const OfflineRunResult lockstep_run = run_offline(lockstep, paths);
+    ASSERT_TRUE(lockstep_run.all_delivered);
+    EXPECT_GT(lockstep.queries(), 1000u);
+    EXPECT_GT(cached.hits(), 0u);
+    if (screen == CachedOracle::PairScreen::kOn) {
+      EXPECT_GT(cached.screened(), 0u);
+    }
+    // Answering through the lockstep wrapper changes no decision.
+    const CachedOracle plain(truth, screen);
+    EXPECT_EQ(run_offline(plain, paths).schedule.slots,
+              lockstep_run.schedule.slots);
+  }
+}
+
+TEST(CachedOracle, NestedCacheRoutesNormalizedMissesThroughInnerMemo) {
+  const DiscModelOracle truth(screen_positions(), 50.0, 3);
+  const CachedOracle inner(truth);
+  const CompatibilityOracle& wrapped = inner;  // wrap, not copy
+  const CachedOracle first(wrapped);
+  const CachedOracle second(wrapped);
+  const std::vector<Tx> g{{6, 7}, {0, 1}};
+  EXPECT_TRUE(first.compatible(g));  // both memos miss
+  EXPECT_EQ(first.misses(), 1u);
+  EXPECT_EQ(inner.misses(), 1u);
+  EXPECT_EQ(inner.hits(), 0u);
+  // A second outer memo's miss reaches the inner memo through
+  // compatible_normalized(), where it is a hit, not a truth query.
+  EXPECT_TRUE(second.compatible(g));
+  EXPECT_EQ(second.misses(), 1u);
+  EXPECT_EQ(inner.misses(), 1u);
+  EXPECT_EQ(inner.hits(), 1u);
+  EXPECT_EQ(inner.size(), 1u);
+  // And the normalized entry point of the outer memo is a memo query too.
+  EXPECT_TRUE(second.compatible_normalized(normalize(g)));
+  EXPECT_EQ(second.hits(), 1u);
+  EXPECT_EQ(inner.hits(), 1u);
 }
 
 // ---------- CachedOracle offline accounting ----------

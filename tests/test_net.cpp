@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "util/assertx.hpp"
 #include "net/cluster.hpp"
@@ -200,6 +201,33 @@ TEST(DiscTopologyGrid, PairsExactlyAtSensorRangeAreLinked) {
   EXPECT_TRUE(topo.sensors_linked(0, 3));   // hypot(36, 48) = 60 m
   EXPECT_FALSE(topo.sensors_linked(0, 2));  // 120 m
   EXPECT_TRUE(topo.sensors_linked(1, 3));   // hypot(24, 48) < 60
+}
+
+TEST(RangeBand, MatchesTheDistanceFormOnDegenerateRanges) {
+  // Where range² is not a finite normal number the band cannot bound the
+  // squared distance's error, so every test must defer to distance():
+  // negative and NaN ranges hold nothing, a tiny range whose square
+  // underflows and a huge one whose square overflows still give the
+  // distance() verdict.
+  const auto agree = [](double range, Vec2 a, Vec2 b) {
+    EXPECT_EQ(RangeBand(range).within(a, b), distance(a, b) <= range)
+        << "range " << range << " a " << a.x << "," << a.y << " b " << b.x
+        << "," << b.y;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double range : {-5.0, 0.0, nan}) {
+    agree(range, {0, 0}, {0, 0});
+    agree(range, {0, 0}, {1, 0});
+  }
+  // 1e-170 apart: the squared distance underflows to 0.
+  agree(1e-200, {0, 0}, {1e-170, 0});
+  agree(1e-200, {0, 0}, {1e-200, 0});
+  agree(1e-170, {0, 0}, {1e-170, 0});
+  // 1.4e200 apart: the squared distance overflows to infinity.
+  agree(1e200, {0, 0}, {1e200, 1e200});
+  agree(2e200, {0, 0}, {1e200, 1e200});
+  agree(std::numeric_limits<double>::infinity(), {0, 0}, {1e300, 1e300});
+  agree(60.0, {0, 0}, {36, 48});
 }
 
 TEST(DiscTopologyGrid, EmptyAndSingletonDeployments) {

@@ -374,6 +374,65 @@ TEST(OfflineRun, TruncatedRunStillReportsCounters) {
   EXPECT_GE(r.reactivations, 9u);
 }
 
+// run_offline's loop written out against the scheduler's public
+// interface, stopping at `max_slots` like run_offline does.
+Schedule drive_by_hand(const CompatibilityOracle& oracle,
+                       const std::vector<std::vector<NodeId>>& paths,
+                       const HopLossModel& loss, std::size_t max_slots) {
+  GreedyPollingScheduler sched(oracle);
+  for (const auto& p : paths) sched.add_request(p);
+  std::vector<bool> hop_failed(paths.size(), false);
+  while (!sched.finished() && sched.current_slot() < max_slots) {
+    for (const auto& s : sched.plan_slot()) {
+      if (s.hop == 0) hop_failed[s.request] = false;
+      if (!loss(s, sched.current_slot())) hop_failed[s.request] = true;
+    }
+    std::vector<RequestId> delivered;
+    for (RequestId id : sched.due_now())
+      if (!hop_failed[id]) delivered.push_back(id);
+    sched.complete_slot(delivered);
+  }
+  return sched.history();
+}
+
+TEST(OfflineRun, ReturnedScheduleIsTheSchedulersHistory) {
+  // run_offline moves the history out of its scheduler on both return
+  // paths; the result must equal, slot for slot, what a hand-driven
+  // scheduler has committed, with losses and re-polls in the mix.
+  Rng rng(2024);
+  const std::size_t n = 40;
+  const Deployment dep =
+      deploy_connected_uniform_square(n, 220.0, 60.0, rng);
+  const auto routing = solve_min_max_load(disc_topology(dep, 60.0),
+                                          std::vector<std::int64_t>(n, 1));
+  ASSERT_TRUE(routing.feasible);
+  std::vector<std::vector<NodeId>> paths;
+  for (NodeId s = 0; s < n; ++s) paths.push_back(routing.paths[s][0].hops);
+  ExplicitOracle oracle(3);
+  const auto txs = transmissions_of_paths(paths);
+  for (std::size_t i = 0; i < txs.size(); ++i)
+    for (std::size_t j = i + 1; j < txs.size(); ++j)
+      if ((i + j) % 3 != 0) oracle.allow_pair(txs[i], txs[j]);
+  const HopLossModel loss = [](const ScheduledTx& s, std::size_t slot) {
+    return (s.request * 7 + slot) % 11 != 0;
+  };
+
+  const OfflineRunResult full = run_offline(oracle, paths, loss);
+  ASSERT_TRUE(full.all_delivered);
+  ASSERT_GT(full.reactivations, 0u);
+  const Schedule by_hand = drive_by_hand(oracle, paths, loss, full.slots);
+  EXPECT_EQ(full.schedule.slots, by_hand.slots);
+  EXPECT_EQ(full.schedule.length(), full.slots);
+
+  const std::size_t cut = full.slots / 2;
+  const OfflineRunResult truncated = run_offline(oracle, paths, loss, cut);
+  ASSERT_FALSE(truncated.all_delivered);
+  EXPECT_EQ(truncated.slots, cut);
+  EXPECT_EQ(truncated.schedule.slots,
+            drive_by_hand(oracle, paths, loss, cut).slots);
+  EXPECT_EQ(truncated.schedule.length(), cut);
+}
+
 TEST(Greedy, IdenticalPathsNeverShareOneTransmission) {
   // Two packets from the same sensor use the same edge: the set-semantics
   // oracle cannot tell two copies apart, so the scheduler itself must
